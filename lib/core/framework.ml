@@ -33,7 +33,6 @@ module Make (S : Service_intf.SERVICE) = struct
   type group_msg =
     | List_units of { client : int }
     | Start_session of { session_id : string; unit_id : string; client : int }
-    | Propagate of { session_id : string; snap : S.context Unit_db.snapshot }
     | Propagate_batch of { snaps : (string * S.context Unit_db.snapshot) list }
     | End_session of { session_id : string }
     | State_digest of { sender : int; vid : View.Id.t; digest : Unit_db.digest list }
@@ -177,18 +176,17 @@ module Make (S : Service_intf.SERVICE) = struct
       catalog : string list;
       units : (string, ustate) Hashtbl.t;
       sessions : (string, slocal) Hashtbl.t;
-      shard_refs : (string, int) Hashtbl.t;
-          (* Sharded session groups ([Policy.session_shards] > 0): how
-             many local sessions hold a role in each shard group.  The
-             daemon joins a shard group on 0 -> 1 and leaves on 1 -> 0;
-             only [sl_role] None<->Some edges move the count. *)
+      group_refs : (string, int) Hashtbl.t;
+          (* Session group -> how many local sessions hold a role in it
+             (always 1 for a per-session group).  The daemon joins on
+             0 -> 1 and leaves on 1 -> 0. *)
       store : Haf_store.Store.t option;
       mutable store_timers : Engine.timer list;
       mutable audit_timer : Engine.timer option;
       mutable prop_timer : Engine.timer option;
-          (* The server-level batched-propagation timer
-             ([Policy.batch_propagation]); per-session [sl_prop] timers
-             are not created in that mode. *)
+          (* The server-level propagation timer under
+             [Policy.batch_propagation]; per-session [sl_prop] timers
+             are not created then. *)
       mutable svc_view : View.t option;
       mutable running : bool;
     }
@@ -217,33 +215,40 @@ module Make (S : Service_intf.SERVICE) = struct
     let refresh_checksum us = us.u_checksum <- Unit_db.cached_checksum us.u_db
 
     (* -------------------------------------------------------------- *)
-    (* Session-group membership                                        *)
+    (* Session-local state and session-group membership                *)
 
-    let[@hot] shard_group t session_id =
-      Naming.session_shard_group ~shards:t.policy.Policy.session_shards session_id
+    let[@hot] session_group t session_id =
+      Naming.group_of_session ~shards:t.policy.Policy.session_shards session_id
 
-    (* Refcounted membership for sharded session groups: one GCS group
-       carries a whole shard of sessions, so the daemon joins when the
-       first local role in the shard appears and leaves when the last
-       one goes.  Callers invoke these only on [sl_role] None<->Some
-       edges — a Backup<->Primary transition keeps the ref it holds. *)
-    let[@hot] acquire_shard t session_id =
-      let g = shard_group t session_id in
-      let n = Option.value (Hashtbl.find_opt t.shard_refs g) ~default:0 in
-      Hashtbl.replace t.shard_refs g (n + 1);
-      if n = 0 then Gcs.join t.gcs t.proc g
+    (* Membership of session groups is refcounted, whatever the group
+       map: the daemon joins a group when the first local session in it
+       takes a role and leaves when the last one gives its role up.
+       [take_role] and [drop_session] are the only writers of [sl_role]
+       and the only removers of [t.sessions] entries, so a local entry
+       exists exactly while its session holds a role, and holds exactly
+       one reference; a Backup<->Primary switch keeps the one it has. *)
+    let[@hot] take_role t sl role =
+      let first = match sl.sl_role with None -> true | Some _ -> false in
+      sl.sl_role <- Some role;
+      if first then begin
+        let g = session_group t sl.sl_session in
+        let n = Option.value (Hashtbl.find_opt t.group_refs g) ~default:0 in
+        Hashtbl.replace t.group_refs g (n + 1);
+        if n = 0 then Gcs.join t.gcs t.proc g
+      end
 
-    let[@hot] release_shard t session_id =
-      let g = shard_group t session_id in
-      match Hashtbl.find_opt t.shard_refs g with
-      | Some n when n > 1 -> Hashtbl.replace t.shard_refs g (n - 1)
-      | Some _ ->
-          Hashtbl.remove t.shard_refs g;
-          Gcs.leave t.gcs t.proc g
-      | None -> ()
-
-    (* -------------------------------------------------------------- *)
-    (* Session-local state                                             *)
+    let[@hot] drop_session t sl =
+      let held = match sl.sl_role with Some _ -> true | None -> false in
+      sl.sl_role <- None;
+      Hashtbl.remove t.sessions sl.sl_session;
+      if held then
+        let g = session_group t sl.sl_session in
+        match Hashtbl.find_opt t.group_refs g with
+        | Some n when n > 1 -> Hashtbl.replace t.group_refs g (n - 1)
+        | Some _ ->
+            Hashtbl.remove t.group_refs g;
+            Gcs.leave t.gcs t.proc g
+        | None -> ()
 
     let stop_timers sl =
       (match sl.sl_tick with Some tm -> Engine.cancel tm | None -> ());
@@ -362,16 +367,18 @@ module Make (S : Service_intf.SERVICE) = struct
         && not (Engine.choice t.engine ~site:"propagate" ~proc:t.proc)
       then
         let snap = snapshot_of t sl in
-        multicast_content t sl.sl_unit (Propagate { session_id = sl.sl_session; snap })
+        multicast_content t sl.sl_unit
+          (Propagate_batch { snaps = [ (sl.sl_session, snap) ] })
 
     (* Batched propagation ([Policy.batch_propagation]): one server-level
        timer sweeps every local primary once per period and ships a
-       single [Propagate_batch] multicast per content unit — identical
-       snapshots, receiver semantics and choice point as the per-session
-       path, with the framing cost amortized from O(sessions) to
-       O(units) messages per period.  (Deliberately not [@hot]: this is
-       the once-per-period sweep whose cost is already amortized; the
-       per-snapshot receive path [apply_propagate] is the hot one.) *)
+       single [Propagate_batch] multicast per content unit — the same
+       message, snapshots, receiver semantics and choice point as the
+       per-session timer above, with the framing cost amortized from
+       O(sessions) to O(units) messages per period.  (Deliberately not
+       [@hot]: this is the once-per-period sweep whose cost is already
+       amortized; the per-snapshot receive path [apply_propagate] is the
+       hot one.) *)
     let do_propagate_all t =
       if t.running then begin
         let by_unit = Hashtbl.create 4 in
@@ -471,10 +478,7 @@ module Make (S : Service_intf.SERVICE) = struct
                  had_live_context = had_live;
                })
         end;
-        sl.sl_role <- Some Primary;
-        (if t.policy.Policy.session_shards = 0 then
-           Gcs.join t.gcs t.proc (Naming.session_group sl.sl_session)
-         else if not had_live then acquire_shard t sl.sl_session);
+        take_role t sl Primary;
         emit t
           (Events.Role_assumed { server = t.proc; session_id = sl.sl_session; role = Primary });
         start_primary_timers t sl
@@ -483,7 +487,6 @@ module Make (S : Service_intf.SERVICE) = struct
     let become_backup t (sess : S.context Unit_db.session) =
       let sl = local_of t sess in
       if sl.sl_role <> Some Backup then begin
-        let had_role = sl.sl_role <> None in
         (match sl.sl_role with
         | Some Primary ->
             stop_timers sl;
@@ -491,16 +494,12 @@ module Make (S : Service_intf.SERVICE) = struct
               (Events.Role_dropped
                  { server = t.proc; session_id = sl.sl_session; role = Primary })
         | Some Backup | None -> ());
-        sl.sl_role <- Some Backup;
-        (if t.policy.Policy.session_shards = 0 then
-           Gcs.join t.gcs t.proc (Naming.session_group sl.sl_session)
-         else if not had_role then acquire_shard t sl.sl_session);
+        take_role t sl Backup;
         emit t
           (Events.Role_assumed { server = t.proc; session_id = sl.sl_session; role = Backup })
       end
 
     let relinquish t sl ~new_primary =
-      let held = sl.sl_role <> None in
       (match sl.sl_role with
       | Some Primary ->
           stop_timers sl;
@@ -526,11 +525,7 @@ module Make (S : Service_intf.SERVICE) = struct
             (Events.Role_dropped
                { server = t.proc; session_id = sl.sl_session; role = Backup })
       | None -> ());
-      sl.sl_role <- None;
-      (if t.policy.Policy.session_shards = 0 then
-         Gcs.leave t.gcs t.proc (Naming.session_group sl.sl_session)
-       else if held then release_shard t sl.sl_session);
-      Hashtbl.remove t.sessions sl.sl_session
+      drop_session t sl
 
     let apply_assignment t us (a : Selection.assignment) =
       match Unit_db.find us.u_db a.Selection.a_session_id with
@@ -786,9 +781,8 @@ module Make (S : Service_intf.SERVICE) = struct
           | None -> grant ())
       | Some _ | None -> ()
 
-    (* One propagated snapshot landing in the unit database — shared by
-       the per-session [Propagate] arm and each element of a
-       [Propagate_batch]. *)
+    (* One propagated snapshot landing in the unit database: each element
+       of a [Propagate_batch]. *)
     let merge_applied xs ys = List.sort_uniq Int.compare (List.rev_append xs ys)
 
     let[@hot] apply_propagate t us ~sender session_id snap =
@@ -823,9 +817,6 @@ module Make (S : Service_intf.SERVICE) = struct
             else reassign t us ~rebalance:false
           end;
           grant_if_primary t us session_id
-      | Propagate { session_id; snap } ->
-          apply_propagate t us ~sender session_id snap;
-          refresh_checksum us
       | Propagate_batch { snaps } ->
           List.iter
             (fun (session_id, snap) -> apply_propagate t us ~sender session_id snap)
@@ -834,7 +825,6 @@ module Make (S : Service_intf.SERVICE) = struct
       | End_session { session_id } ->
           (match Hashtbl.find_opt t.sessions session_id with
           | Some sl ->
-              let held = sl.sl_role <> None in
               if sl.sl_role = Some Primary then
                 emit t (Events.Session_ended { session_id });
               stop_timers sl;
@@ -842,11 +832,7 @@ module Make (S : Service_intf.SERVICE) = struct
               | Some role ->
                   emit t (Events.Role_dropped { server = t.proc; session_id; role })
               | None -> ());
-              sl.sl_role <- None;
-              Hashtbl.remove t.sessions session_id;
-              if t.policy.Policy.session_shards = 0 then
-                Gcs.leave t.gcs t.proc (Naming.session_group session_id)
-              else if held then release_shard t session_id
+              drop_session t sl
           | None -> ());
           (* Keep the incremental load table truthful: the ended
              session's roles stop counting before the tombstone strips
@@ -1090,8 +1076,8 @@ module Make (S : Service_intf.SERVICE) = struct
         when match (msg, us.u_view) with
              | State_digest { vid; _ }, Some v -> View.Id.equal vid v.View.id
              | State_digest _, None -> false
-             | ( ( List_units _ | Start_session _ | Propagate _
-                 | Propagate_batch _ | End_session _ | State_delta _ | Request _ ),
+             | ( ( List_units _ | Start_session _ | Propagate_batch _
+                 | End_session _ | State_delta _ | Request _ ),
                  _ ) ->
                  false -> (
           (* A member started an exchange for our current view that we
@@ -1146,8 +1132,8 @@ module Make (S : Service_intf.SERVICE) = struct
                 us.u_id xsender
                 (Format.asprintf "%a" View.Id.pp vid)
                 (Format.asprintf "%a" View.Id.pp ex.ex_vid)
-          | ( List_units _ | Start_session _ | Propagate _ | Propagate_batch _
-            | End_session _ | Request _ ) as other ->
+          | ( List_units _ | Start_session _ | Propagate_batch _ | End_session _
+            | Request _ ) as other ->
               ex.ex_deferred <- (sender, other) :: ex.ex_deferred)
       | None -> process_content_msg t us ~sender msg
 
@@ -1175,8 +1161,8 @@ module Make (S : Service_intf.SERVICE) = struct
           | Some v when View.coordinator v = t.proc ->
               send_p2p t client (Unit_list t.catalog)
           | Some _ | None -> ())
-      | Start_session _ | Propagate _ | Propagate_batch _ | End_session _
-      | State_digest _ | State_delta _ | Request _ ->
+      | Start_session _ | Propagate_batch _ | End_session _ | State_digest _
+      | State_delta _ | Request _ ->
           ()
 
     (* -------------------------------------------------------------- *)
@@ -1206,20 +1192,15 @@ module Make (S : Service_intf.SERVICE) = struct
               | Some us -> on_content_msg t us ~sender msg
               | None -> ())
           | None -> (
-              match (Naming.session_of group, msg) with
-              | Some _, Request { session_id; seq; body } ->
+              match msg with
+              | Request { session_id; seq; body }
+                when String.equal group (session_group t session_id) ->
+                  (* A shard group delivers every request of the shard to
+                     every member; [on_request]'s local-role filter keeps
+                     only the session's primary and backups. *)
                   on_request t ~session_id ~seq ~body
-              | None, Request { session_id; seq; body }
-                when Naming.session_shard_of group <> None ->
-                  (* Sharded session groups: every member of the shard
-                     sees the request; [on_request]'s local-role filter
-                     keeps only the session's primary and backups. *)
-                  on_request t ~session_id ~seq ~body
-              | None, Request _ -> ()
-              | ( _,
-                  ( List_units _ | Start_session _ | Propagate _
-                  | Propagate_batch _ | End_session _ | State_digest _
-                  | State_delta _ ) ) ->
+              | Request _ | List_units _ | Start_session _ | Propagate_batch _
+              | End_session _ | State_digest _ | State_delta _ ->
                   ())
 
     let on_p2p t ~sender:_ payload =
@@ -1312,7 +1293,7 @@ module Make (S : Service_intf.SERVICE) = struct
           catalog;
           units = Hashtbl.create 4;
           sessions = Hashtbl.create 16;
-          shard_refs = Hashtbl.create 8;
+          group_refs = Hashtbl.create 8;
           store;
           store_timers = [];
           audit_timer = None;
@@ -1576,15 +1557,11 @@ module Make (S : Service_intf.SERVICE) = struct
         let body = S.gen_request t.rng ~seq in
         Events.emit t.events ~now:(now t)
           (Events.Request_sent { client = t.proc; session_id = cs.c_session; seq });
-        (* Sharded session groups: the client computes the same pure
-           session-id -> shard map as the servers, so routing still
-           needs no coordination. *)
+        (* The client computes the same pure session-id -> group map
+           as the servers, so routing needs no coordination. *)
         let group =
-          if t.policy.Policy.session_shards = 0 then
-            Naming.session_group cs.c_session
-          else
-            Naming.session_shard_group ~shards:t.policy.Policy.session_shards
-              cs.c_session
+          Naming.group_of_session ~shards:t.policy.Policy.session_shards
+            cs.c_session
         in
         Gcs.open_send t.gcs t.proc group
           (encode_group (Request { session_id = cs.c_session; seq; body }))

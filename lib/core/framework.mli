@@ -34,13 +34,13 @@ module Make (S : Service_intf.SERVICE) : sig
     | List_units of { client : int }  (** Client -> service group. *)
     | Start_session of { session_id : string; unit_id : string; client : int }
         (** Client -> content group (totally ordered at every replica). *)
-    | Propagate of { session_id : string; snap : S.context Unit_db.snapshot }
-        (** Primary -> content group, every propagation period. *)
     | Propagate_batch of { snaps : (string * S.context Unit_db.snapshot) list }
-        (** Every local primary's snapshot for one unit in a single
-            frame ({!Policy.t.batch_propagation}): semantically the same
-            [Propagate] messages back-to-back, O(units) instead of
-            O(sessions) multicasts per propagation period. *)
+        (** Primary -> content group, every propagation period: session
+            context snapshots, applied in list order.  One session's
+            own timer sends a one-element batch; under
+            {!Policy.t.batch_propagation} one server-level timer sends
+            every local primary's snapshot for the unit in one frame,
+            O(units) instead of O(sessions) multicasts per period. *)
     | End_session of { session_id : string }
     | State_digest of {
         sender : int;

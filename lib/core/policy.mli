@@ -31,20 +31,25 @@ type t = {
       (** Client-side: re-send the start-session request if no grant
           arrived within this long. *)
   session_shards : int;
-      (** 0 (the default) gives every session its own GCS group, the
-          paper's literal design.  Positive [k] maps sessions onto [k]
-          fixed shard groups instead ({!Naming.session_shard_group}):
-          requests fan out to the shard's members and non-involved
-          servers drop them, so semantics are unchanged, but group
-          count — and with it heartbeat advert size and view-change
-          work — stays bounded at 10{^5}+ concurrent sessions. *)
+      (** The parameter of the session-to-group map
+          {!Naming.group_of_session}; the membership and request paths
+          are the same for every value.  0 (the default) gives every
+          session its own GCS group, the paper's literal design.
+          Positive [k] maps sessions onto [k] fixed shard groups
+          instead: requests fan out to the shard's members and
+          non-involved servers drop them, so semantics are unchanged,
+          but group count — and with it heartbeat advert size and
+          view-change work — stays bounded at 10{^5}+ concurrent
+          sessions. *)
   batch_propagation : bool;
-      (** Off (the default): one [Propagate] multicast per session per
-          propagation period, the paper's literal design.  On: each
-          server runs a single propagation timer that batches every
-          local primary's snapshot into one [Propagate_batch] multicast
-          per content unit per period — same payloads and receiver
-          semantics, O(units) instead of O(sessions) framing. *)
+      (** Which timer sends the [Propagate_batch] multicasts; the
+          message and its receive path are the same either way.  Off
+          (the default): each session's own timer sends a one-element
+          batch every propagation period, the paper's literal design.
+          On: each server runs a single propagation timer that puts
+          every local primary's snapshot for a content unit into one
+          batch per period — same payloads and receiver semantics,
+          O(units) instead of O(sessions) framing. *)
   incremental_assign : bool;
       (** Off (the default): every [Start_session] re-runs the full
           deterministic selection over the unit database.  On: a fresh
@@ -58,8 +63,8 @@ type t = {
 
 val default : t
 (** 1 backup, 0.5 s propagation, [Resume] takeover, rebalancing on;
-    per-session groups, per-session propagation, full selection (the
-    scale knobs all off). *)
+    per-session groups, per-session propagation timers, full selection
+    (the scale knobs all off). *)
 
 val vod_paper : t
 (** The configuration of the VoD service of [2]: no backups, 0.5 s

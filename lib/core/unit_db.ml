@@ -16,17 +16,12 @@ type 'ctx session = {
   mutable ended : bool;
 }
 
-(* The database is sharded by session id: each shard is an independent
-   hashtable with its own deterministic iteration, so a session group
-   (and the state exchange) can touch only its shard.  The shard map is
-   a pure function of the session id (FNV-1a — hand-written, never the
-   polymorphic [Hashtbl.hash], so every member routes identically), and
-   every cross-shard result (sessions, export, checksum) is merged in
-   session-id order, making the observable behavior independent of the
-   shard count — a qcheck suite pins sharded == unsharded. *)
+(* One table keyed by session id.  Every traversal that other members
+   could observe (sessions, export) is re-sorted by session id, and the
+   checksum is an order-independent XOR, so hashtable order never leaks. *)
 type 'ctx t = {
   uid : string;
-  shards : (string, 'ctx session) Hashtbl.t array;
+  tbl : (string, 'ctx session) Hashtbl.t;
   mutable cache : int;
       (* XOR of the per-session digest hashes, maintained incrementally
          by every sanctioned mutation — O(1) to read where the old
@@ -35,38 +30,13 @@ type 'ctx t = {
          damage exactly as before. *)
 }
 
-let fnv_offset = 0x0bf29ce484222325
-
-let fnv_prime = 0x100000001b3
-
-let[@hot] fnv1a s =
-  let h = ref fnv_offset in
-  for i = 0 to String.length s - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
-  done;
-  !h land max_int
-
-let default_shards = 8
-
-let create ?(shards = default_shards) ~unit_id () =
-  if shards < 1 then invalid_arg "Unit_db.create: shards < 1";
-  {
-    uid = unit_id;
-    shards = Array.init shards (fun _ -> Hashtbl.create 16);
-    cache = 0;
-  }
+let create ~unit_id () = { uid = unit_id; tbl = Hashtbl.create 64; cache = 0 }
 
 let unit_id t = t.uid
 
-let shard_count t = Array.length t.shards
+let[@hot] find t sid = Hashtbl.find_opt t.tbl sid
 
-let[@hot] shard_of t sid = fnv1a sid mod Array.length t.shards
-
-let[@hot] shard t sid = t.shards.(fnv1a sid mod Array.length t.shards)
-
-let[@hot] find t sid = Hashtbl.find_opt (shard t sid) sid
-
-let[@hot] mem t sid = Hashtbl.mem (shard t sid) sid
+let[@hot] mem t sid = Hashtbl.mem t.tbl sid
 
 type 'ctx record = {
   r_session_id : string;
@@ -143,8 +113,7 @@ let touching t s f =
   t.cache <- t.cache lxor before lxor session_hash s
 
 let add_session t ~session_id ~client ~started_at =
-  let tbl = shard t session_id in
-  match Hashtbl.find_opt tbl session_id with
+  match Hashtbl.find_opt t.tbl session_id with
   | Some s -> s
   | None ->
       let s =
@@ -159,17 +128,16 @@ let add_session t ~session_id ~client ~started_at =
           ended = false;
         }
       in
-      Hashtbl.replace tbl session_id s;
+      Hashtbl.replace t.tbl session_id s;
       t.cache <- t.cache lxor session_hash s;
       s
 
 let remove_session t sid =
-  let tbl = shard t sid in
-  match Hashtbl.find_opt tbl sid with
+  match Hashtbl.find_opt t.tbl sid with
   | None -> ()
   | Some s ->
       t.cache <- t.cache lxor session_hash s;
-      Hashtbl.remove tbl sid
+      Hashtbl.remove t.tbl sid
 
 (* Tombstone, not deletion: the entry stays, stripped of assignment and
    content, and wins every merge (see [digest_snap_compare]) — so a
@@ -190,18 +158,11 @@ let live t sid = match find t sid with Some s -> not s.ended | None -> false
 let by_sid (a : _ session) b = String.compare a.session_id b.session_id
 
 let sessions t =
-  let acc = ref [] in
-  Array.iter
-    (fun tbl -> Hashtbl.iter (fun _ s -> acc := s :: !acc) tbl) (* haf-lint: allow R3 — order re-established by the sort below *)
-    t.shards;
-  List.sort by_sid !acc
+  List.sort by_sid (Hashtbl.fold (fun _ s acc -> s :: acc) t.tbl []) (* haf-lint: allow R3 — order re-established by the sort *)
 
 let live_sessions t = List.filter (fun s -> not s.ended) (sessions t)
 
-let sessions_shard t i =
-  Haf_sim.Det_tbl.sorted_values ~compare:String.compare t.shards.(i)
-
-let size t = Array.fold_left (fun n tbl -> n + Hashtbl.length tbl) 0 t.shards
+let size t = Hashtbl.length t.tbl
 
 let fresher a b =
   (* Newest request first, then wall-clock as a tiebreak. *)
@@ -227,8 +188,6 @@ let set_assignment t sid ~primary ~backups =
           s.backups <- backups)
 
 let export t = List.map record_of_session (sessions t)
-
-let export_shard t i = List.map record_of_session (sessions_shard t i)
 
 (* Compare only the replicated-content part of two digests: which
    propagated snapshot is fresher (the [-1] sentinel means none).
@@ -289,21 +248,17 @@ let merge_records t records =
     records
 
 let replace_with_merge t snapshots =
-  Array.iter Hashtbl.reset t.shards;
+  Hashtbl.reset t.tbl;
   t.cache <- 0;
   List.iter (merge_records t) snapshots
 
 (* Full recompute, order-independent (XOR combine over the per-session
-   digests — equal databases hash equal regardless of shard layout or
-   iteration order).  [cached_checksum] maintains the same value
+   digests — equal databases hash equal regardless of iteration
+   order).  [cached_checksum] maintains the same value
    incrementally through sanctioned mutations; a divergence between the
    two convicts out-of-band state corruption. *)
 let checksum t =
-  let acc = ref 0 in
-  Array.iter
-    (fun tbl -> Hashtbl.iter (fun _ s -> acc := !acc lxor session_hash s) tbl) (* haf-lint: allow R3 — XOR combine is order-independent *)
-    t.shards;
-  !acc
+  Hashtbl.fold (fun _ s acc -> acc lxor session_hash s) t.tbl 0 (* haf-lint: allow R3 — XOR combine is order-independent *)
 
 let cached_checksum t = t.cache
 
@@ -311,34 +266,37 @@ let cached_checksum t = t.cache
    invariants every sanctioned mutation preserves, so a violation means
    the in-memory state was damaged out-of-band. *)
 let sound t =
-  let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let rec check = function
-    | [] -> Ok ()
-    | s :: rest ->
-        if s.unit_id <> t.uid then
-          bad "session %s carries unit %s in db %s" s.session_id s.unit_id t.uid
-        else if s.client < 0 then bad "session %s: negative client" s.session_id
-        else if
-          s.ended && (s.primary <> None || s.backups <> [] || s.propagated <> None)
-        then bad "tombstone %s still carries assignment or content" s.session_id
-        else if
-          match s.primary with Some p -> p < 0 || List.mem p s.backups | None -> false
-        then bad "session %s: primary invalid or listed as backup" s.session_id
-        else if List.exists (fun b -> b < 0) s.backups then
-          bad "session %s: negative backup id" s.session_id
-        else if
-          match s.propagated with Some sn -> sn.snap_req_seq < 0 | None -> false
-        then bad "session %s: negative propagated req_seq" s.session_id
-        else check rest
+  let bad fmt = Printf.ksprintf Option.some fmt in
+  let problem s =
+    if s.unit_id <> t.uid then
+      bad "session %s carries unit %s in db %s" s.session_id s.unit_id t.uid
+    else if s.client < 0 then bad "session %s: negative client" s.session_id
+    else if
+      s.ended && (s.primary <> None || s.backups <> [] || s.propagated <> None)
+    then bad "tombstone %s still carries assignment or content" s.session_id
+    else if
+      match s.primary with Some p -> p < 0 || List.mem p s.backups | None -> false
+    then bad "session %s: primary invalid or listed as backup" s.session_id
+    else if List.exists (fun b -> b < 0) s.backups then
+      bad "session %s: negative backup id" s.session_id
+    else if
+      match s.propagated with Some sn -> sn.snap_req_seq < 0 | None -> false
+    then bad "session %s: negative propagated req_seq" s.session_id
+    else None
   in
-  let rec per_shard i =
-    if i = Array.length t.shards then Ok ()
-    else
-      match check (sessions_shard t i) with
-      | Ok () -> per_shard (i + 1)
-      | Error _ as e -> e
+  (* Report the damaged session with the smallest id, so the verdict
+     does not depend on table order; a healthy table is checked without
+     building or sorting a session list (the audit runs this on every
+     unit, every few heartbeats). *)
+  let first_bad sid s acc =
+    match acc with
+    | Some (best, _) when String.compare best sid < 0 -> acc
+    | Some _ | None -> (
+        match problem s with Some m -> Some (sid, m) | None -> acc)
   in
-  per_shard 0
+  match Hashtbl.fold first_bad t.tbl None with (* haf-lint: allow R3 — keeps the minimum session id, order-independent *)
+  | None -> Ok ()
+  | Some (_, m) -> Error m
 
 let equal_assignments a b =
   let summary t =

@@ -35,26 +35,13 @@ type 'ctx session = {
 
 type 'ctx t
 
-val create : ?shards:int -> unit_id:string -> unit -> 'ctx t
-(** The database is sharded internally by a deterministic hash of the
-    session id ([shards] defaults to 8).  The shard count is invisible
-    to every observable operation — sessions, exports, checksums and
-    merges are identical whatever the layout (qcheck-pinned) — it only
-    bounds how much state any single lookup or per-shard walk touches. *)
+val create : unit_id:string -> unit -> 'ctx t
+(** An empty database: one table keyed by session id.  Every traversal
+    another member could observe ({!sessions}, {!export}) is sorted by
+    session id, and {!checksum} is order-independent, so the table's
+    internal order never leaks. *)
 
 val unit_id : _ t -> string
-
-val shard_count : _ t -> int
-
-val shard_of : _ t -> string -> int
-(** Deterministic shard index of a session id (FNV-1a, identical at
-    every member) — also the framework's session-group shard map. *)
-
-val fnv1a : string -> int
-(** The deterministic string hash behind {!shard_of}, exposed so the
-    session-shard group map ({!Naming.session_shard_group}) and the
-    database sharding use one function — a session's shard group and
-    its db shard never disagree across members. *)
 
 val add_session :
   'ctx t -> session_id:string -> client:int -> started_at:float -> 'ctx session
@@ -82,9 +69,6 @@ val sessions : 'ctx t -> 'ctx session list
 val live_sessions : 'ctx t -> 'ctx session list
 (** {!sessions} without the tombstones. *)
 
-val sessions_shard : 'ctx t -> int -> 'ctx session list
-(** One shard's sessions, sorted by session id. *)
-
 val size : _ t -> int
 
 val set_propagated : 'ctx t -> string -> 'ctx snapshot -> unit
@@ -107,10 +91,7 @@ type 'ctx record = {
 }
 
 val export : 'ctx t -> 'ctx record list
-
-val export_shard : 'ctx t -> int -> 'ctx record list
-(** One shard's records, sorted by session id: the per-shard unit of
-    digest/delta reconciliation. *)
+(** Every record, tombstones included, sorted by session id. *)
 
 type digest = {
   d_session_id : string;
@@ -161,8 +142,8 @@ val replace_with_merge : 'ctx t -> 'ctx record list list -> unit
 val checksum : 'ctx t -> int
 (** Full recompute: XOR-combined hash over the per-session digests
     (identity, assignment, snapshot metadata, tombstone flag — not the
-    service context).  Equal databases hash equal, independent of shard
-    layout.  {!cached_checksum} maintains the same value incrementally;
+    service context).  Equal databases hash equal, independent of
+    insertion order.  {!cached_checksum} maintains the same value incrementally;
     the periodic audit recomputes with this function and a mismatch
     convicts out-of-band state corruption. *)
 

@@ -49,10 +49,10 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
            from the monitor loop, told of injections by apply_schedule. *)
     claims : (int, (string, unit) Hashtbl.t) Hashtbl.t;
         (* server -> sessions it claims primary for, maintained by an
-           event tap.  The legality probe's dirty-set path asks this
-           index for sessions with >= 2 claims instead of scanning every
-           session id; each candidate is then verified against ground
-           truth ([Server.is_primary_of]). *)
+           event tap.  The legality probe asks this index for sessions
+           with >= 2 claims instead of scanning every session id; each
+           candidate is then verified against ground truth
+           ([Server.is_primary_of]). *)
     claim_counts : (string, int) Hashtbl.t;
         (* session -> live primary-claim count; absent = 0. *)
     unit_ks : int list;
@@ -78,15 +78,12 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
     (* Every run is monitored: the checker subscribes before any process
        exists, so it sees the complete event stream. *)
     let monitor =
-      Monitor.create
-        ~mode:(if sc.monitor_full_scan then Monitor.Full_scan else Monitor.Incremental)
-        ~network:(Gcs.network gcs)
+      Monitor.create ~network:(Gcs.network gcs)
         ~servers:(Gcs.servers gcs) ~policy:sc.policy ~gcs:sc.gcs_config ~events ()
     in
-    (* Primary-claims index for the legality probe's dirty-set path:
-       mirrors role events into per-server claim sets, so the probe only
-       has to ground-truth sessions that could conceivably have two
-       primaries. *)
+    (* Primary-claims index for the legality probe: mirrors role events
+       into per-server claim sets, so the probe only has to ground-truth
+       sessions that could conceivably have two primaries. *)
     let claims = Hashtbl.create 16 in
     let claim_counts = Hashtbl.create 64 in
     let bump sid d =
@@ -492,20 +489,17 @@ module Make (S : Haf_core.Service_intf.SERVICE) = struct
         ps
     in
     let unique_primaries =
-      if w.scenario.Scenario.monitor_full_scan then
-        List.for_all unique_ok (all_session_ids w)
-      else
-        (* Dirty-set path: only sessions with >= 2 event-level primary
-           claims can fail uniqueness; everything else has at most one
-           server whose role events say "primary", and role events are
-           emitted synchronously with the belief change, so the index
-           cannot under-count.  Each candidate is still judged against
-           ground truth, never against the index itself. *)
-        Hashtbl.fold
-          (fun sid n acc -> if n >= 2 then sid :: acc else acc)
-          w.claim_counts []
-        |> List.sort String.compare
-        |> List.for_all unique_ok
+      (* Only sessions with >= 2 event-level primary claims can fail
+         uniqueness; everything else has at most one server whose role
+         events say "primary", and role events are emitted synchronously
+         with the belief change, so the index cannot under-count.  Each
+         candidate is still judged against ground truth, never against
+         the index itself. *)
+      Hashtbl.fold
+        (fun sid n acc -> if n >= 2 then sid :: acc else acc)
+        w.claim_counts []
+      |> List.sort String.compare
+      |> List.for_all unique_ok
     in
     let assignments_agree =
       List.for_all

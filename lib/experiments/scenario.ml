@@ -16,7 +16,6 @@ type t = {
   monitor_interval : float;
   retain_events : bool;
   retain_responses : bool;
-  monitor_full_scan : bool;
 }
 
 let default =
@@ -38,7 +37,6 @@ let default =
     monitor_interval = 0.25;
     retain_events = true;
     retain_responses = true;
-    monitor_full_scan = false;
   }
 
 let unit_name k = Printf.sprintf "u%02d" k

@@ -39,13 +39,6 @@ type t = {
           [~retain_responses:false]: per-session response lists stay
           empty (counts and the silence watchdog still work), keeping
           client memory flat at bench scale. *)
-  monitor_full_scan : bool;
-      (** Default [false] (the monitor runs its incremental dirty-set
-          indices and the runner's legality probe consults the
-          event-maintained primary-claims index).  [true] forces the
-          reference whole-population scans in both — the
-          incremental-vs-full equivalence tests and legacy replays use
-          this. *)
 }
 
 val default : t

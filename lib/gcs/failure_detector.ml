@@ -56,4 +56,3 @@ let reachable t p =
   | Some peer -> not peer.suspect
   | None -> false
 
-let last_heard t p = Option.map (fun peer -> peer.last) (Hashtbl.find_opt t.peers p)

@@ -58,11 +58,6 @@ let config t = t.gcs_config
 
 let servers t = List.rev t.server_list
 
-let is_server t p =
-  match Hashtbl.find_opt t.slots p with
-  | Some { role = Server; _ } -> true
-  | Some { role = Client; _ } | None -> false
-
 let spawn_daemon ?incarnation t proc role =
   let heartbeat_interval =
     match role with Server -> None | Client -> Some t.client_hb

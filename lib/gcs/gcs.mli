@@ -78,8 +78,6 @@ val add_server : t -> proc
 val add_client : t -> proc
 (** A client process: monitors the servers, does not join groups. *)
 
-val is_server : t -> proc -> bool
-
 (** {2 Application wiring} *)
 
 val set_app : t -> proc -> Daemon.callbacks -> unit

@@ -28,8 +28,6 @@ let make_config ~(policy : Haf_core.Policy.t) ~(gcs : Haf_gcs.Config.t) =
     ack_confirm_delay = slack;
   }
 
-type mode = Full_scan | Incremental
-
 type session_state = {
   ss_id : string;
   mutable ss_unit : string option;
@@ -55,8 +53,8 @@ type session_state = {
   mutable ss_last_activity : float;  (* staleness clock *)
   mutable ss_stale_flagged : bool;
   mutable ss_stale_armed : bool;
-      (* An entry for this session sits in the staleness deadline queue
-         (incremental mode); at most one live entry per session. *)
+      (* An entry for this session sits in the staleness deadline queue;
+         at most one live entry per session. *)
 }
 
 (* Staleness deadline queue entry.  [sd_la] is the activity timestamp
@@ -70,7 +68,6 @@ type stale_entry = {
 }
 
 type t = {
-  mode : mode;
   net : Network.t;
   servers : int list;
   cfg : config;
@@ -329,11 +326,10 @@ let on_event t ~now (ev : Events.t) =
   | Store_recovered _ | Audit_failed _ | Server_reset _ ->
       ()
 
-let create ?(mode = Incremental) ?config ~network ~servers ~policy ~gcs ~events () =
+let create ?config ~network ~servers ~policy ~gcs ~events () =
   let cfg = match config with Some c -> c | None -> make_config ~policy ~gcs in
   let t =
     {
-      mode;
       net = network;
       servers = List.sort_uniq Int.compare servers;
       cfg;
@@ -357,8 +353,6 @@ let create ?(mode = Incremental) ?config ~network ~servers ~policy ~gcs ~events 
       end
       else on_event t ~now ev);
   t
-
-let mode t = t.mode
 
 (* Invariant (a): two live self-believed primaries violate uniqueness
    only when the GCS is {e obliged} to merge them into one view — their
@@ -393,11 +387,10 @@ let rec conflicting_pair t = function
       | Some q -> Some (p, q)
       | None -> conflicting_pair t rest)
 
-(* One session's share of a pump, identical under both modes: the
-   incremental pump proves (see [pump_incremental]) that running this on
-   its candidate set records exactly the violations the full scan
-   records over everyone, because on every non-candidate this body is a
-   verdict-level no-op. *)
+(* One session's share of a pump: [pump] runs it on its candidate set
+   and [reference_scan] on every session.  On every non-candidate this
+   body is a verdict-level no-op (see [pump_incremental]), so both
+   record the same violations. *)
 let check_session t ~now ss =
   if not ss.ss_ended then begin
     let prims = List.map fst (live_primaries t ss) in
@@ -437,28 +430,29 @@ let check_session t ~now ss =
         end
   end
 
-let pump_full t ~now =
+let reference_scan t ~now =
   Det_tbl.iter_sorted ~compare:String.compare
     (fun _ ss -> check_session t ~now ss)
     t.sessions
 
-(* Incremental pump.  Equivalence with [pump_full] rests on two facts:
+(* Incremental pump.  Equivalence with [reference_scan] rests on two
+   facts:
 
    (1) For a session outside both indices, [check_session] is a
        verdict-level no-op at every pump.  Staleness cannot fire: a
        session enters the "primary up + granted" state only through an
        event that calls [activity] (grant, role change, takeover,
        propagation, crash fan-out), which arms a queue entry at
-       [last_activity + bound]; the full scan's strict
+       [last_activity + bound]; the reference scan's strict
        [now - la > bound] test is exactly the queue entry's
        [deadline < now] pop condition.  Dual-primary cannot fire: the
        conflict test needs >= 2 believed primaries, and the event that
        created the second one put the session in [dual_watch], which
        only [pump] itself vacates once the episode is fully reset.
-       The remaining full-scan effect on such sessions — resetting the
-       staleness clock while no primary is up — is invisible: the next
-       transition into a checkable state overwrites the clock via
-       [activity] before anything reads it.
+       The remaining reference-scan effect on such sessions —
+       resetting the staleness clock while no primary is up — is
+       invisible: the next transition into a checkable state overwrites
+       the clock via [activity] before anything reads it.
 
        The "only through an event" premise is the stream's
        well-formedness contract (see the mli): beliefs are asserted by
@@ -467,11 +461,12 @@ let pump_full t ~now =
        pump time cannot flip a silent session checkable on its own.
 
    (2) Candidates are visited in ascending session id, the same order
-       the full scan uses, so coincident violations land in the ledger
-       in the same order with identical timestamps and details.
+       the reference scan uses, so coincident violations land in the
+       ledger in the same order with identical timestamps and details.
 
-   The qcheck suite (test_monitor_incr) drives both modes over random
-   event streams and asserts the ledgers are equal element-wise. *)
+   The qcheck suite (test_monitor_incr) drives [pump] and
+   [reference_scan] over random event streams and asserts the ledgers
+   are equal element-wise. *)
 let pump_incremental t ~now =
   (* Pop every deadline that has expired; entries superseded by newer
      activity re-key themselves at the live deadline. *)
@@ -483,9 +478,9 @@ let pump_incremental t ~now =
        arithmetic [check_session] uses — not [la +. bound < now]: the
        two can disagree by one ulp at the boundary (float addition and
        subtraction round differently), which would defer a flag by one
-       pump relative to the full scan.  [sd_deadline] only orders the
-       heap, and with one shared bound that order equals la-order, so
-       the drain below still stops at the first non-expired entry. *)
+       pump relative to the reference scan.  [sd_deadline] only orders
+       the heap, and with one shared bound that order equals la-order,
+       so the drain below still stops at the first non-expired entry. *)
     | Some e when now -. e.sd_la > t.cfg.staleness_bound ->
         ignore (Heap.pop t.stale_q);
         let ss = e.sd_ss in
@@ -512,7 +507,7 @@ let pump_incremental t ~now =
     (fun _ ss -> check_session t ~now ss)
     cands;
   (* Retire dual watches whose episode fully reset (the same state the
-     full scan leaves untouched sessions in). *)
+     reference scan leaves untouched sessions in). *)
   let retire =
     Det_tbl.fold_sorted ~compare:String.compare
       (fun sid ss acc ->
@@ -537,15 +532,10 @@ let pump_incremental t ~now =
 let pump t ~now =
   if Haf_sim.Profile.hit prof_pump then begin
     let w0 = Haf_sim.Profile.words () and c0 = Haf_sim.Profile.cpu () in
-    (match t.mode with
-    | Full_scan -> pump_full t ~now
-    | Incremental -> pump_incremental t ~now);
+    pump_incremental t ~now;
     Haf_sim.Profile.leave prof_pump ~w0 ~c0
   end
-  else
-    match t.mode with
-    | Full_scan -> pump_full t ~now
-    | Incremental -> pump_incremental t ~now
+  else pump_incremental t ~now
 
 let pp_summary ppf t =
   let vs = violations t in

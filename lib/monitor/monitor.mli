@@ -35,28 +35,6 @@
 
 type t
 
-type mode = Full_scan | Incremental
-(** How {!pump} finds the sessions to examine.
-
-    [Full_scan] visits every session on every pump — O(population) per
-    tick, the reference semantics.
-
-    [Incremental] (the default) maintains dirty-set indices as events
-    arrive — a staleness deadline min-heap keyed by
-    [last_activity + bound] and a watch set of sessions with >= 2
-    believed primaries — and each pump touches only the sessions whose
-    verdict could have changed since the last tick.  The two modes
-    record {e identical} violation ledgers (same order, timestamps and
-    details) on any {e well-formed} event stream — one where role
-    beliefs are only asserted by live servers and every crash fault is
-    mirrored as a [Server_crashed] event, both guaranteed by the
-    framework's emitters and fault injectors.  (Outside that contract —
-    say a grant naming an already-dead primary later resurrected by a
-    bare network recover — a session can turn checkable with no event
-    for the indices to observe, and the staleness clocks of the two
-    modes may drift by up to one bound.)  A qcheck suite asserts the
-    equivalence element-wise on random well-formed histories. *)
-
 type config = {
   dual_primary_grace : float;
       (** Same-component dual-primary overlap tolerated before flagging. *)
@@ -75,7 +53,6 @@ val make_config : policy:Haf_core.Policy.t -> gcs:Haf_gcs.Config.t -> config
 (** Derive the bounds the policy and GCS timing actually promise. *)
 
 val create :
-  ?mode:mode ->
   ?config:config ->
   network:Haf_net.Network.t ->
   servers:int list ->
@@ -86,17 +63,37 @@ val create :
   t
 (** Attach a monitor to the run: subscribes to [events] immediately.
     [servers] are the node ids eligible as partition-component hops and
-    endpoints (clients are excluded by construction).  [mode] defaults
-    to {!Incremental}; pass {!Full_scan} to force the reference
-    whole-population probe (equivalence tests, legacy replay). *)
-
-val mode : t -> mode
+    endpoints (clients are excluded by construction). *)
 
 val pump : t -> now:float -> unit
 (** Evaluate the time-based invariants (a) and (c) at virtual time
     [now].  Call periodically — every few hundred milliseconds of
     virtual time — and once at the end of the run; event-driven checks
-    (b) need no pumping. *)
+    (b) need no pumping.
+
+    The pump is incremental: the monitor maintains dirty-set indices as
+    events arrive — a staleness deadline min-heap keyed by
+    [last_activity + bound] and a watch set of sessions with >= 2
+    believed primaries — and each pump touches only the sessions whose
+    verdict could have changed since the last one, not the whole
+    population. *)
+
+val reference_scan : t -> now:float -> unit
+(** The test oracle for {!pump}: evaluate (a) and (c) by visiting every
+    session, O(population) per call.  A monitor pumped only by this
+    function records the {e identical} violation ledger (same order,
+    timestamps and details) as one pumped by {!pump} at the same
+    instants, on any {e well-formed} event stream — one where role
+    beliefs are only asserted by live servers and every crash fault is
+    mirrored as a [Server_crashed] event, both guaranteed by the
+    framework's emitters and fault injectors.  (Outside that contract —
+    say a grant naming an already-dead primary later resurrected by a
+    bare network recover — a session can turn checkable with no event
+    for the indices to observe, and the two staleness clocks may drift
+    by up to one bound.)  The equivalence suite asserts this
+    element-wise on random well-formed histories; no production code
+    calls it.  Pump a monitor with one of the two functions, never
+    both. *)
 
 val report :
   t ->

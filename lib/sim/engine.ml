@@ -69,8 +69,6 @@ let create ?seed () = make ?seed None
 
 let create_external ?seed ~now () = make ?seed (Some now)
 
-let external_clock t = t.ext_now <> None
-
 let now t =
   match t.ext_now with
   | None -> t.clock

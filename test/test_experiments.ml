@@ -193,6 +193,114 @@ let test_fast_path_knobs_combined () =
   check Alcotest.bool "crash triggered at least one takeover" true
     (List.length takeovers >= 1)
 
+(* Session-group membership is one refcounted path whatever the group
+   map: per-session groups ([session_shards = 0]) and shard groups
+   ([session_shards = 4]).  The run starts sessions, crashes a primary
+   (its backup is promoted), restarts it (a join, so the unit
+   rebalances), and ends every session before the horizon.  Throughout,
+   each live server must be in exactly the session groups of the
+   sessions it holds a role in; at the end only the service group and
+   the content groups remain.  A Backup->Primary promotion that took a
+   second reference would keep its group joined after the session
+   ended, so the end state also pins the refcount. *)
+let test_session_group_membership shards () =
+  let sc =
+    {
+      (small_scenario ~seed:5 ()) with
+      Scenario.n_clients = 4;
+      session_duration = 30.;
+      duration = 60.;
+      policy = { Haf_core.Policy.default with session_shards = shards };
+    }
+  in
+  let svc_and_content =
+    List.sort String.compare
+      (Haf_core.Naming.service_group
+      :: List.map
+           (fun k -> Haf_core.Naming.content_group (Scenario.unit_name k))
+           (List.init sc.Scenario.n_units Fun.id))
+  in
+  let mismatches = ref [] in
+  let crashed = ref (-1) in
+  let check_membership w =
+    List.iter
+      (fun (p, srv) ->
+        let joined =
+          List.filter
+            (fun g -> not (List.mem g svc_and_content))
+            (Haf_gcs.Daemon.groups (Haf_gcs.Gcs.daemon w.R.gcs p))
+        in
+        let held =
+          List.map
+            (fun (sid, _) -> Haf_core.Naming.group_of_session ~shards sid)
+            (R.Fw.Server.sessions_served srv)
+          |> List.sort_uniq String.compare
+        in
+        if joined <> held then
+          mismatches :=
+            Printf.sprintf "t=%.2f s%d joined [%s] holds [%s]"
+              (Haf_sim.Engine.now w.R.engine) p (String.concat "," joined)
+              (String.concat "," held)
+            :: !mismatches)
+      (R.live_servers w)
+  in
+  let tl, w =
+    R.run_scenario sc ~prepare:(fun w ->
+        let at time f =
+          ignore (Haf_sim.Engine.schedule_at w.R.engine ~time f)
+        in
+        at 12. (fun () ->
+            match List.concat_map R.Fw.Client.session_ids w.R.clients with
+            | sid :: _ -> (
+                match R.current_primary w sid with
+                | Some p ->
+                    crashed := p;
+                    R.crash_server w p
+                | None -> ())
+            | [] -> ());
+        at 18. (fun () -> if !crashed >= 0 then R.restart_server w !crashed);
+        List.iter
+          (fun k -> at (0.5 *. float_of_int k) (fun () -> check_membership w))
+          (List.init 120 Fun.id))
+  in
+  (match R.violations w with
+  | [] -> ()
+  | v :: _ ->
+      Alcotest.failf "monitor violation: %s"
+        (Format.asprintf "%a" Haf_stats.Metrics.pp_violation v));
+  check Alcotest.bool "a primary was crashed" true (!crashed >= 0);
+  let takeovers kind =
+    List.filter_map
+      (fun (_, e) ->
+        match e with
+        | Events.Takeover { server; kind = k; had_live_context; _ }
+          when k = kind ->
+            Some (server, had_live_context)
+        | _ -> None)
+      tl
+  in
+  check Alcotest.bool "a backup was promoted on the crash" true
+    (List.exists
+       (fun (server, live) -> live && server <> !crashed)
+       (takeovers Events.Crash));
+  check Alcotest.bool "the restart rebalanced sessions" true
+    (takeovers Events.Rebalance <> []);
+  check Alcotest.int "every session ended" 4
+    (List.length
+       (List.filter
+          (fun (_, e) ->
+            match e with Events.Session_ended _ -> true | _ -> false)
+          tl));
+  check (Alcotest.list Alcotest.string) "joined groups track held roles" []
+    (List.rev !mismatches);
+  List.iter
+    (fun (p, _) ->
+      check (Alcotest.list Alcotest.string)
+        (Printf.sprintf "s%d ends in the service and content groups only" p)
+        svc_and_content
+        (Haf_gcs.Daemon.groups (Haf_gcs.Gcs.daemon w.R.gcs p)))
+    (R.live_servers w)
+
 let suite =
   [
     ( "experiments.runner",
@@ -206,6 +314,10 @@ let suite =
         Alcotest.test_case "group wipes scoped" `Quick test_group_wipes_scoped;
         Alcotest.test_case "fast-path knobs combined" `Quick
           test_fast_path_knobs_combined;
+        Alcotest.test_case "session groups, per-session" `Quick
+          (test_session_group_membership 0);
+        Alcotest.test_case "session groups, 4 shards" `Quick
+          (test_session_group_membership 4);
       ] );
     ( "experiments.registry",
       [

@@ -653,11 +653,11 @@ let prop_batched_order_equals_unbatched =
       && batched = plain)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded unit-db: layout-independence and per-shard reconciliation   *)
+(* Unit-db: checksum cache and order-independent reconciliation         *)
 
 (* The same sanctioned op stream, derived deterministically from a
    seed, applied to any database — so two databases fed the same seed
-   have identical logical histories whatever their shard count. *)
+   have identical logical histories. *)
 let apply_sanctioned seed db =
   let rng = Haf_sim.Rng.create seed in
   let nops = 30 + Haf_sim.Rng.int rng 40 in
@@ -689,69 +689,49 @@ let apply_sanctioned seed db =
     | _ -> ()
   done
 
-let prop_sharded_equals_unsharded =
-  (* The shard count must be invisible: same op sequence, same shape,
-     same checksum — and the incremental cache must equal the full
-     recompute on both layouts after any sanctioned history. *)
+let prop_cached_checksum =
+  (* The incremental cache must equal the full recompute after any
+     sanctioned history, and no sanctioned history may break the
+     structural invariants [sound] checks. *)
   QCheck.Test.make
-    ~name:"unit_db: sharded == unsharded on random op sequences" ~count:500
+    ~name:"unit_db: cached checksum == full checksum on random op sequences"
+    ~count:500
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let flat = Unit_db.create ~shards:1 ~unit_id:"u00" () in
-      let wide = Unit_db.create ~shards:16 ~unit_id:"u00" () in
-      apply_sanctioned seed flat;
-      apply_sanctioned seed wide;
-      Unit_db.equal_shape flat wide
-      && Unit_db.checksum flat = Unit_db.checksum wide
-      && Unit_db.cached_checksum flat = Unit_db.checksum flat
-      && Unit_db.cached_checksum wide = Unit_db.checksum wide
-      && Result.is_ok (Unit_db.sound flat)
-      && Result.is_ok (Unit_db.sound wide)
-      && Unit_db.size flat = Unit_db.size wide
-      &&
-      (* the shards partition the session-id space *)
-      let parts =
-        List.init (Unit_db.shard_count wide) (Unit_db.sessions_shard wide)
-      in
-      List.concat parts
-      |> List.map (fun s -> s.Unit_db.session_id)
-      |> List.sort String.compare
-      = (Unit_db.sessions wide |> List.map (fun s -> s.Unit_db.session_id)))
+      let db = Unit_db.create ~unit_id:"u00" () in
+      apply_sanctioned seed db;
+      Unit_db.cached_checksum db = Unit_db.checksum db
+      && Result.is_ok (Unit_db.sound db)
+      && Unit_db.size db = List.length (Unit_db.sessions db))
 
-let prop_shard_reconciliation_fixed_point =
-  (* Digest/delta reconciliation per shard, merged deterministically:
-     two divergent replicas' records, merged in a random order into a
-     randomly sharded database, reach exactly the fixed point the
-     unsharded in-order merge reaches — and tombstones win across
-     shard boundaries. *)
+let prop_shuffled_merge_fixed_point =
+  (* Two divergent replicas' records, merged in a random order, reach
+     exactly the fixed point the in-order merge reaches — and a
+     tombstone on either side stays final. *)
   QCheck.Test.make
-    ~name:"unit_db: sharded reconciliation reaches the unsharded fixed point"
+    ~name:"unit_db: shuffled merge reaches the in-order fixed point"
     ~count:500
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let rng = Haf_sim.Rng.create (seed + 7) in
-      let a = Unit_db.create ~shards:1 ~unit_id:"u00" () in
-      let b = Unit_db.create ~shards:4 ~unit_id:"u00" () in
+      let a = Unit_db.create ~unit_id:"u00" () in
+      let b = Unit_db.create ~unit_id:"u00" () in
       apply_sanctioned (seed * 2) a;
       apply_sanctioned ((seed * 2) + 1) b;
       let ra = Unit_db.export a and rb = Unit_db.export b in
-      let base = Unit_db.create ~shards:1 ~unit_id:"u00" () in
+      let base = Unit_db.create ~unit_id:"u00" () in
       Unit_db.merge_records base ra;
       Unit_db.merge_records base rb;
-      let shards = 2 + Haf_sim.Rng.int rng 15 in
-      let sharded = Unit_db.create ~shards ~unit_id:"u00" () in
-      Unit_db.merge_records sharded (Haf_sim.Rng.shuffle rng (ra @ rb));
-      Unit_db.equal_shape base sharded
-      && Unit_db.checksum base = Unit_db.checksum sharded
-      && Unit_db.cached_checksum sharded = Unit_db.checksum sharded
-      &&
-      (* a tombstone on either side is terminal on the merged copy,
-         whichever shard it hashes to *)
-      List.for_all
-        (fun (r : int Unit_db.record) ->
-          (not r.Unit_db.r_ended)
-          || not (Unit_db.live sharded r.Unit_db.r_session_id))
-        (ra @ rb))
+      let shuffled = Unit_db.create ~unit_id:"u00" () in
+      Unit_db.merge_records shuffled (Haf_sim.Rng.shuffle rng (ra @ rb));
+      Unit_db.equal_shape base shuffled
+      && Unit_db.checksum base = Unit_db.checksum shuffled
+      && Unit_db.cached_checksum shuffled = Unit_db.checksum shuffled
+      && List.for_all
+           (fun (r : int Unit_db.record) ->
+             (not r.Unit_db.r_ended)
+             || not (Unit_db.live shuffled r.Unit_db.r_session_id))
+           (ra @ rb))
 
 let suite =
   [
@@ -786,7 +766,7 @@ let suite =
         [
           prop_corruption_detected_and_reconciled;
           prop_tombstone_survives_flag_corruption;
-          prop_sharded_equals_unsharded;
-          prop_shard_reconciliation_fixed_point;
+          prop_cached_checksum;
+          prop_shuffled_merge_fixed_point;
         ] );
   ]
