@@ -52,7 +52,7 @@ let bench_unit_db =
              {
                Haf_core.Unit_db.snap_ctx = i;
                snap_req_seq = i;
-               snap_applied = [ i ];
+               snap_applied = [ (i, i) ];
                snap_at = float_of_int i;
              }
          done;
@@ -284,7 +284,7 @@ let bench_monitor_observe =
              (match i mod 4 with
              | 0 ->
                  Haf_core.Events.Propagated
-                   { server = 0; session_id = "s"; req_seq = i; applied = [ i ] }
+                   { server = 0; session_id = "s"; req_seq = i; applied = [ (i, i) ] }
              | 1 ->
                  Haf_core.Events.Response_received
                    {

@@ -40,7 +40,10 @@ type t =
       server : int;
       session_id : string;
       req_seq : int;
-      applied : int list;  (* exact request seqs incorporated in the snapshot *)
+      applied : Seqset.t;
+          (** Exact request seqs incorporated in the snapshot, as
+              ranges: the monitor's acked-loss check diffs two of these
+              in O(ranges). *)
     }
   | View_noted of { server : int; group : string; members : int list }
   | Server_crashed of { server : int }

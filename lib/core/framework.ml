@@ -60,7 +60,7 @@ module Make (S : Service_intf.SERVICE) = struct
         session_id : string;
         ctx : S.context;
         req_seq : int;
-        applied : int list;
+        applied : Seqset.t;
         at : float;
       }
   [@@haf.protocol]
@@ -116,7 +116,7 @@ module Make (S : Service_intf.SERVICE) = struct
       mutable sl_ctx : S.context;
       mutable sl_base_at : float;  (* when sl_ctx's progress was last authoritative *)
       mutable sl_req_seq : int;  (* highest applied request *)
-      mutable sl_applied : int list;  (* applied request seqs, newest first *)
+      mutable sl_applied : Seqset.t;  (* applied request seqs *)
       mutable sl_reqs : (int * S.request) list;  (* retained, newest first *)
       mutable sl_tick : Engine.timer option;
       mutable sl_prop : Engine.timer option;
@@ -274,7 +274,10 @@ module Make (S : Service_intf.SERVICE) = struct
               snap.Unit_db.snap_req_seq,
               snap.Unit_db.snap_applied )
         | None ->
-            (S.initial_context ~unit_id:sess.Unit_db.unit_id, sess.Unit_db.started_at, 0, [])
+            ( S.initial_context ~unit_id:sess.Unit_db.unit_id,
+              sess.Unit_db.started_at,
+              0,
+              Seqset.empty )
       in
       {
         sl_session = sess.Unit_db.session_id;
@@ -344,7 +347,7 @@ module Make (S : Service_intf.SERVICE) = struct
         {
           Unit_db.snap_ctx = sl.sl_ctx;
           snap_req_seq = sl.sl_req_seq;
-          snap_applied = List.sort_uniq Int.compare sl.sl_applied;
+          snap_applied = sl.sl_applied;
           snap_at = now t;
         }
       in
@@ -354,7 +357,7 @@ module Make (S : Service_intf.SERVICE) = struct
              server = t.proc;
              session_id = sl.sl_session;
              req_seq = sl.sl_req_seq;
-             applied = List.sort Int.compare sl.sl_applied;
+             applied = sl.sl_applied;
            });
       snap
 
@@ -516,7 +519,7 @@ module Make (S : Service_intf.SERVICE) = struct
                      session_id = sl.sl_session;
                      ctx = sl.sl_ctx;
                      req_seq = sl.sl_req_seq;
-                     applied = List.sort_uniq Int.compare sl.sl_applied;
+                     applied = sl.sl_applied;
                      at = now t;
                    })
           | Some _ | None -> ())
@@ -783,8 +786,6 @@ module Make (S : Service_intf.SERVICE) = struct
 
     (* One propagated snapshot landing in the unit database: each element
        of a [Propagate_batch]. *)
-    let merge_applied xs ys = List.sort_uniq Int.compare (List.rev_append xs ys)
-
     let[@hot] apply_propagate t us ~sender session_id snap =
       Unit_db.set_propagated us.u_db session_id snap;
       if Unit_db.live us.u_db session_id then
@@ -800,7 +801,7 @@ module Make (S : Service_intf.SERVICE) = struct
               snap.Unit_db.snap_ctx;
           sl.sl_base_at <- snap.Unit_db.snap_at;
           sl.sl_req_seq <- Int.max sl.sl_req_seq snap.Unit_db.snap_req_seq;
-          sl.sl_applied <- merge_applied snap.Unit_db.snap_applied sl.sl_applied
+          sl.sl_applied <- Seqset.union snap.Unit_db.snap_applied sl.sl_applied
       | Some _ | None -> ()
 
     let process_content_msg t us ~sender msg =
@@ -864,8 +865,15 @@ module Make (S : Service_intf.SERVICE) = struct
     (* Exchange debugging goes to the deterministic trace (visible with a
        tracing Gcs + [Trace.echo]), not to stderr: haf-lint rule R4. *)
     let dbg t fmt =
-      Trace.emitf (Gcs.trace t.gcs) ~time:(now t)
-        ~component:(Printf.sprintf "exchange.%d" t.proc) fmt
+      let trace = Gcs.trace t.gcs in
+      let component =
+        if Trace.enabled trace then Printf.sprintf "exchange.%d" t.proc else ""
+      in
+      Trace.emitf trace ~time:(now t) ~component fmt
+
+    let pp_ints =
+      Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
+        Format.pp_print_int
 
     (* For every session in the digest set, the copy every member agrees
        is authoritative: the maximum under the total order
@@ -911,9 +919,8 @@ module Make (S : Service_intf.SERVICE) = struct
         (best_digests ex)
 
     let exchange_complete t us ex =
-      dbg t "s%d exchange COMPLETE %s vid=%s senders=[%s]" t.proc us.u_id
-        (Format.asprintf "%a" View.Id.pp ex.ex_vid)
-        (String.concat "," (List.map (fun (s, _) -> string_of_int s) ex.ex_deltas));
+      dbg t "s%d exchange COMPLETE %s vid=%a senders=[%a]" t.proc us.u_id View.Id.pp
+        ex.ex_vid pp_ints (List.map fst ex.ex_deltas);
       let deltas =
         List.sort (fun (a, _) (b, _) -> Int.compare a b) ex.ex_deltas
         |> List.concat_map snd
@@ -1035,9 +1042,8 @@ module Make (S : Service_intf.SERVICE) = struct
         }
       in
       us.u_exchange <- Some ex;
-      dbg t "s%d exchange START %s vid=%s expect=[%s]" t.proc us.u_id
-        (Format.asprintf "%a" View.Id.pp view.View.id)
-        (String.concat "," (List.map string_of_int view.View.members));
+      dbg t "s%d exchange START %s vid=%a expect=[%a]" t.proc us.u_id View.Id.pp
+        view.View.id pp_ints view.View.members;
       let digest = List.map Unit_db.digest_of_record (Unit_db.export us.u_db) in
       let msg = State_digest { sender = t.proc; vid = view.View.id; digest } in
       emit t
@@ -1098,8 +1104,8 @@ module Make (S : Service_intf.SERVICE) = struct
           match msg with
           | State_digest { sender = xsender; vid; digest }
             when View.Id.equal vid ex.ex_vid ->
-              dbg t "s%d exchange DIGEST %s from s%d vid=%s" t.proc us.u_id
-                xsender (Format.asprintf "%a" View.Id.pp vid);
+              dbg t "s%d exchange DIGEST %s from s%d vid=%a" t.proc us.u_id
+                xsender View.Id.pp vid;
               if not (List.mem_assoc xsender ex.ex_digests) then begin
                 ex.ex_digests <- (xsender, digest) :: ex.ex_digests;
                 if
@@ -1113,10 +1119,8 @@ module Make (S : Service_intf.SERVICE) = struct
               end
           | State_delta { sender = xsender; vid; records }
             when View.Id.equal vid ex.ex_vid ->
-              dbg t "s%d exchange DELTA %s from s%d vid=%s (%d records)" t.proc
-                us.u_id xsender
-                (Format.asprintf "%a" View.Id.pp vid)
-                (List.length records);
+              dbg t "s%d exchange DELTA %s from s%d vid=%a (%d records)" t.proc
+                us.u_id xsender View.Id.pp vid (List.length records);
               if not (List.mem_assoc xsender ex.ex_deltas) then begin
                 ex.ex_deltas <- (xsender, records) :: ex.ex_deltas;
                 if
@@ -1128,10 +1132,8 @@ module Make (S : Service_intf.SERVICE) = struct
               end
           | State_digest { sender = xsender; vid; _ }
           | State_delta { sender = xsender; vid; _ } ->
-              dbg t "s%d exchange STALE %s from s%d vid=%s (want %s)" t.proc
-                us.u_id xsender
-                (Format.asprintf "%a" View.Id.pp vid)
-                (Format.asprintf "%a" View.Id.pp ex.ex_vid)
+              dbg t "s%d exchange STALE %s from s%d vid=%a (want %a)" t.proc
+                us.u_id xsender View.Id.pp vid View.Id.pp ex.ex_vid
           | ( List_units _ | Start_session _ | Propagate_batch _ | End_session _
             | Request _ ) as other ->
               ex.ex_deferred <- (sender, other) :: ex.ex_deferred)
@@ -1143,8 +1145,8 @@ module Make (S : Service_intf.SERVICE) = struct
     let on_request t ~session_id ~seq ~body =
       match Hashtbl.find_opt t.sessions session_id with
       | Some sl when sl.sl_role <> None ->
-          if not (List.mem seq sl.sl_applied) then begin
-            sl.sl_applied <- seq :: sl.sl_applied;
+          if not (Seqset.mem seq sl.sl_applied) then begin
+            sl.sl_applied <- Seqset.add seq sl.sl_applied;
             sl.sl_reqs <- (seq, body) :: sl.sl_reqs;
             sl.sl_ctx <- S.apply_request sl.sl_ctx body;
             sl.sl_req_seq <- Int.max sl.sl_req_seq seq;
@@ -1212,7 +1214,7 @@ module Make (S : Service_intf.SERVICE) = struct
                 sl.sl_ctx <- reapply_requests sl ~above:req_seq ctx;
                 sl.sl_base_at <- at;
                 sl.sl_req_seq <- Int.max sl.sl_req_seq req_seq;
-                sl.sl_applied <- List.sort_uniq Int.compare (applied @ sl.sl_applied)
+                sl.sl_applied <- Seqset.union applied sl.sl_applied
             | Some _ | None -> ())
         | Unit_list _ | Granted _ | Response _ -> ()
 

@@ -70,11 +70,14 @@ module Make (S : Service_intf.SERVICE) : sig
         session_id : string;
         ctx : S.context;
         req_seq : int;
-        applied : int list;
+        applied : Seqset.t;
         at : float;
       }
         (** Old primary -> new primary on a load-balancing migration:
-            the exact context, so the move is hitless. *)
+            the exact context, so the move is hitless.  [applied] is
+            every request seq the context incorporates, as ranges: the
+            receiver unions it into its own set, and the message grows
+            with the set's holes, not with the session's age. *)
 
   val encode_group : group_msg -> string
 

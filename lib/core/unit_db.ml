@@ -1,7 +1,7 @@
 type 'ctx snapshot = {
   snap_ctx : 'ctx;
   snap_req_seq : int;
-  snap_applied : int list;
+  snap_applied : Seqset.t;
   snap_at : float;
 }
 
@@ -279,10 +279,17 @@ let sound t =
     then bad "session %s: primary invalid or listed as backup" s.session_id
     else if List.exists (fun b -> b < 0) s.backups then
       bad "session %s: negative backup id" s.session_id
-    else if
-      match s.propagated with Some sn -> sn.snap_req_seq < 0 | None -> false
-    then bad "session %s: negative propagated req_seq" s.session_id
-    else None
+    else
+      match s.propagated with
+      | Some sn when sn.snap_req_seq < 0 ->
+          bad "session %s: negative propagated req_seq" s.session_id
+      | Some sn -> (
+          (* A non-canonical applied set would be silently repaired (or
+             mis-merged) by the next union: convict it here instead. *)
+          match Seqset.check sn.snap_applied with
+          | Ok () -> None
+          | Error e -> bad "session %s: applied seqs: %s" s.session_id e)
+      | None -> None
   in
   (* Report the damaged session with the smallest id, so the verdict
      does not depend on table order; a healthy table is checked without

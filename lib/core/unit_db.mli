@@ -14,7 +14,10 @@
 type 'ctx snapshot = {
   snap_ctx : 'ctx;
   snap_req_seq : int;  (** Highest incorporated request seq. *)
-  snap_applied : int list;  (** Exact incorporated request seqs. *)
+  snap_applied : Seqset.t;
+      (** Exact incorporated request seqs, as canonical ranges: what a
+          propagation, a [P_ctx] WAL record or a state delta carries for
+          it is O(ranges), not O(requests ever applied). *)
   snap_at : float;
 }
 
@@ -155,7 +158,8 @@ val cached_checksum : 'ctx t -> int
 val sound : 'ctx t -> (unit, string) result
 (** Structural invariants every sanctioned mutation preserves: sessions
     belong to this unit, tombstones carry no assignment or content, a
-    primary is never its own backup, ids and seqs are non-negative.
+    primary is never its own backup, ids and seqs are non-negative, and
+    every propagated applied set is canonical ({!Seqset.check}).
     [Error detail] means the in-memory state was damaged. *)
 
 val equal_shape : 'ctx t -> 'ctx t -> bool

@@ -98,7 +98,8 @@ let set_callbacks t cb = t.callbacks <- cb
 let now t = Engine.now t.engine
 
 let tr t fmt =
-  Trace.emitf t.trace ~time:(now t) ~component:(Printf.sprintf "gcs.%d" t.me) fmt
+  let component = if Trace.enabled t.trace then Printf.sprintf "gcs.%d" t.me else "" in
+  Trace.emitf t.trace ~time:(now t) ~component fmt
 
 let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
     ~contacts me =
@@ -136,12 +137,10 @@ let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
 (* ------------------------------------------------------------------ *)
 (* Low-level sends                                                     *)
 
-let send_reliable t dst msg =
-  if dst = t.me then
-    (* Local loopback still goes through the simulated network so that
-       timing stays uniform; handled by the dispatcher like any other. *)
-    Transport.send t.transport ~src:t.me ~dst (Wire.encode msg)
-  else Transport.send t.transport ~src:t.me ~dst (Wire.encode msg)
+(* Local loopback ([dst = t.me]) still goes through the simulated
+   network so that timing stays uniform; handled by the dispatcher like
+   any other. *)
+let send_reliable t dst msg = Transport.send t.transport ~src:t.me ~dst (Wire.encode msg)
 
 let send_raw t dst msg =
   Transport.send_unreliable t.transport ~src:t.me ~dst (Wire.encode msg)
@@ -393,7 +392,7 @@ let rec apply_install t gs ~epoch ~view_id ~members ~sync =
   List.iter (Hashtbl.remove t.vid_mismatch) stale_keys;
   t.view_changes <- t.view_changes + 1;
   List.iter (fun m -> monitor_peer t m) members;
-  tr t "installed %s" (Format.asprintf "%a" View.pp view);
+  tr t "installed %a" View.pp view;
   t.callbacks.on_view view;
   (* Resubmit multicasts not yet sequenced, oldest first, and any open
      sends buffered during the flush. *)

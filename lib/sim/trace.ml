@@ -28,8 +28,11 @@ let emit t ~time ~component message =
     done
   end
 
+(* A disabled sink consumes the arguments without formatting them: no
+   string is built and no [%a] printer runs. *)
 let emitf t ~time ~component fmt =
-  Format.kasprintf (fun s -> emit t ~time ~component s) fmt
+  if t.on then Format.kasprintf (fun s -> emit t ~time ~component s) fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let lines t = List.of_seq (Queue.to_seq t.buffer)
 

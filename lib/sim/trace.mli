@@ -25,6 +25,10 @@ val emit : t -> time:float -> component:string -> string -> unit
 
 val emitf :
   t -> time:float -> component:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** On a disabled sink nothing is formatted: the arguments are consumed
+    without building a string or calling any [%a] printer.  Callers that
+    compute an argument before the call (a [~component] string
+    included) should check {!enabled} first. *)
 
 val lines : t -> line list
 (** Recorded lines, oldest first. *)

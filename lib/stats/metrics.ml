@@ -104,7 +104,7 @@ let requests_lost tl ~sid =
         Hashtbl.replace knowledge server k;
         k
   in
-  let snapshot = ref [] in
+  let snapshot = ref Haf_core.Seqset.empty in
   let current_primary = ref None in
   List.iter
     (fun (_, e) ->
@@ -126,19 +126,21 @@ let requests_lost tl ~sid =
               (* Resume from the unit database: the latest propagated
                  snapshot, merged with whatever this server saw itself
                  (as a backup it applied every request it received). *)
-              List.iter (fun seq -> Hashtbl.replace k seq ()) !snapshot);
+              List.iter
+                (fun seq -> Hashtbl.replace k seq ())
+                (Haf_core.Seqset.elements !snapshot));
           current_primary := Some server
       | Events.Role_assumed { session_id; server; role = Events.Primary }
         when session_id = sid ->
           current_primary := Some server
       | _ -> ())
     tl;
-  let final_knowledge =
+  let known =
     match !current_primary with
-    | Some p -> Hashtbl.fold (fun seq () acc -> seq :: acc) (know p) []
-    | None -> !snapshot
+    | Some p -> Hashtbl.mem (know p)
+    | None -> Fun.flip Haf_core.Seqset.mem !snapshot
   in
-  let lost = List.filter (fun seq -> not (List.mem seq final_knowledge)) !sent in
+  let lost = List.filter (fun seq -> not (known seq)) !sent in
   (List.length lost, List.length !sent)
 
 let crash_times tl =

@@ -69,8 +69,10 @@ let create ?(trace = Trace.disabled) ?(faults = no_faults) ~name engine =
   }
 
 let tr t fmt =
-  Trace.emitf t.trace ~time:(Engine.now t.engine)
-    ~component:(Printf.sprintf "disk.%s" t.name) fmt
+  let component =
+    if Trace.enabled t.trace then Printf.sprintf "disk.%s" t.name else ""
+  in
+  Trace.emitf t.trace ~time:(Engine.now t.engine) ~component fmt
 
 let append t bytes =
   Buffer.add_string t.pending bytes;

@@ -48,8 +48,10 @@ let create ?(trace = Trace.disabled) ~name config engine =
 let config t = t.config
 
 let tr t fmt =
-  Trace.emitf t.trace ~time:(Engine.now t.engine)
-    ~component:(Printf.sprintf "store.%s" t.name) fmt
+  let component =
+    if Trace.enabled t.trace then Printf.sprintf "store.%s" t.name else ""
+  in
+  Trace.emitf t.trace ~time:(Engine.now t.engine) ~component fmt
 
 let log t payload =
   Wal.append t.wal payload;

@@ -136,6 +136,26 @@ let test_trace_capture_and_filter () =
     (Trace.emit Trace.disabled ~time:0. ~component:"x" "y";
      List.length (Trace.lines Trace.disabled))
 
+let test_trace_disabled_skips_formatting () =
+  (* A disabled sink must not format: a [%a] printer that counts its
+     calls runs once per line on a live sink and never on a dead one. *)
+  let calls = ref 0 in
+  let pp ppf n =
+    incr calls;
+    Format.pp_print_int ppf n
+  in
+  let tr = Trace.create () in
+  Trace.emitf tr ~time:1. ~component:"a" "v=%a" pp 7;
+  check Alcotest.int "enabled: printer ran" 1 !calls;
+  (match Trace.lines tr with
+  | [ { Trace.message = "v=7"; _ } ] -> ()
+  | _ -> Alcotest.fail "enabled sink should hold the formatted line");
+  Trace.set_enabled tr false;
+  Trace.emitf tr ~time:2. ~component:"a" "v=%a %s" pp 8 "x";
+  Trace.emitf Trace.disabled ~time:3. ~component:"a" "v=%a" pp 9;
+  check Alcotest.int "disabled: printer never ran" 1 !calls;
+  check Alcotest.int "disabled: nothing recorded" 1 (List.length (Trace.lines tr))
+
 (* ------------------------------------------------------------------ *)
 (* Adversarial protocol scenarios                                      *)
 
@@ -579,6 +599,37 @@ let prop_tombstone_survives_flag_corruption =
       | Some s -> s.Unit_db.ended && s.Unit_db.propagated = None
       | None -> false)
 
+(* A propagated applied set damaged out-of-band, one case per kind of
+   damage: [sound] must convict it, so the audit resets the replica
+   instead of the next union silently absorbing the damage. *)
+let sound_with_applied applied =
+  let db = Unit_db.create ~unit_id:"u00" () in
+  ignore (Unit_db.add_session db ~session_id:"s00" ~client:1 ~started_at:1.);
+  Unit_db.set_propagated db "s00"
+    { Unit_db.snap_ctx = 0; snap_req_seq = 10; snap_applied = [ (1, 10) ]; snap_at = 2. };
+  (match Unit_db.find db "s00" with
+  | Some ({ Unit_db.propagated = Some snap; _ } as s) ->
+      s.Unit_db.propagated <- Some { snap with Unit_db.snap_applied = applied }
+  | Some _ | None -> Alcotest.fail "session s00 lost its snapshot");
+  Unit_db.sound db
+
+let applied_case name applied ~ok =
+  Alcotest.test_case ("sound: applied " ^ name) `Quick (fun () ->
+      check Alcotest.bool
+        (if ok then "passes" else "convicted")
+        ok
+        (Result.is_ok (sound_with_applied applied)))
+
+let sound_applied_cases =
+  [
+    applied_case "canonical set passes" [ (1, 4); (6, 10) ] ~ok:true;
+    applied_case "unsorted ranges" [ (6, 10); (1, 4) ] ~ok:false;
+    applied_case "overlapping ranges" [ (1, 6); (5, 10) ] ~ok:false;
+    applied_case "adjacent ranges" [ (1, 4); (5, 10) ] ~ok:false;
+    applied_case "inverted range" [ (10, 1) ] ~ok:false;
+    applied_case "negative seq" [ (-3, 10) ] ~ok:false;
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Batched sequencing: total order identical to the unbatched path     *)
 
@@ -748,6 +799,8 @@ let suite =
         Alcotest.test_case "fd sweep idempotent" `Quick test_fd_sweep_idempotent;
         Alcotest.test_case "latency models" `Quick test_latency_positive_and_mean;
         Alcotest.test_case "trace" `Quick test_trace_capture_and_filter;
+        Alcotest.test_case "trace: disabled sink skips formatting" `Quick
+          test_trace_disabled_skips_formatting;
       ] );
     ( "gcs.adversarial",
       [
@@ -768,5 +821,6 @@ let suite =
           prop_tombstone_survives_flag_corruption;
           prop_cached_checksum;
           prop_shuffled_merge_fixed_point;
-        ] );
+        ]
+      @ sound_applied_cases );
   ]

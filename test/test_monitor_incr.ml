@@ -61,6 +61,7 @@ type op =
   | Link of int * int * bool
   | Heal
   | Propagate of int * int * bool  (* session, emitter, drop acked history *)
+  | Propagate_set of int * int * Haf_core.Seqset.t  (* session, emitter, applied *)
   | View_note of int * int  (* server, session idx (-> its content unit) *)
   | Pump
 
@@ -74,6 +75,10 @@ let op_to_string = function
   | Link (a, b, up) -> Printf.sprintf "link s%d s%d %b" a b up
   | Heal -> "heal"
   | Propagate (i, s, drop) -> Printf.sprintf "propagate %s s%d drop:%b" sids.(i) s drop
+  | Propagate_set (i, s, applied) ->
+      Printf.sprintf "propagate %s s%d applied:%s" sids.(i) s
+        (String.concat ","
+           (List.map (fun (lo, hi) -> Printf.sprintf "%d..%d" lo hi) applied))
   | View_note (s, i) -> Printf.sprintf "view s%d %s" s (unit_of i)
   | Pump -> "pump"
 
@@ -167,7 +172,13 @@ let replay steps =
       | Propagate (i, srv, drop) ->
           let k = seq.(i) + 1 in
           seq.(i) <- k;
-          let applied = if drop then [ k ] else List.init k (fun j -> j + 1) in
+          let applied = if drop then [ (k, k) ] else [ (1, k) ] in
+          emit
+            (Events.Propagated
+               { server = srv; session_id = sids.(i); req_seq = k; applied })
+      | Propagate_set (i, srv, applied) ->
+          let k = List.fold_left (fun acc (_, hi) -> Int.max acc hi) 0 applied in
+          seq.(i) <- Int.max seq.(i) k;
           emit
             (Events.Propagated
                { server = srv; session_id = sids.(i); req_seq = k; applied })
@@ -285,6 +296,28 @@ let test_directed_all_invariants () =
     "all three invariant families provoked"
     [ "no-acked-loss"; "staleness-bound"; "unique-primary" ]
     (List.sort compare (List.map Metrics.invariant_to_string (invariants vf)))
+
+let test_directed_hole_inside_range () =
+  (* A later propagation that keeps both ends of the acked range but
+     loses one seq from its middle: the range diff must find the hole,
+     and the detail lists it exactly as the seq-list check did. *)
+  let steps =
+    [
+      (0.1, Grant (0, 0));
+      (0.1, Propagate_set (0, 0, [ (1, 10) ]));
+      (0.5, Propagate_set (0, 0, [ (1, 4); (6, 10) ]));
+    ]
+  in
+  let vf, vi, _, _ = replay steps in
+  check Alcotest.bool "ledgers identical" true (ledgers_eq vf vi);
+  (* The replay's closing pumps run past the staleness bound, so only
+     the acked-loss verdicts are this test's business. *)
+  match List.filter (fun v -> v.Metrics.v_invariant = Metrics.No_acked_loss) vf with
+  | [ v ] ->
+      check Alcotest.string "detail"
+        "propagation by s0 dropped acked seqs [5] although [s0] survived since 0.200"
+        v.Metrics.v_detail
+  | vs -> Alcotest.failf "expected one acked-loss violation, got %d" (List.length vs)
 
 let test_directed_crash_suspends_staleness () =
   (* The staleness clock must suspend while no primary is up, in both
@@ -475,6 +508,8 @@ let suite =
             test_directed_crash_suspends_staleness;
           test_case "directed: partitioned duals exempt until heal" `Quick
             test_directed_partitioned_duals_not_flagged;
+          test_case "directed: hole inside an acked range is a loss" `Quick
+            test_directed_hole_inside_range;
           test_case
             "scenario: corruption run ledger equals a reference-scan monitor's"
             `Slow test_corruption_run_reference_ledger;

@@ -111,7 +111,10 @@ let prop at server applied_seqs =
          server;
          session_id = "s";
          req_seq = List.fold_left Int.max 0 applied_seqs;
-         applied = applied_seqs;
+         applied =
+           List.fold_left
+             (fun s seq -> Haf_core.Seqset.add seq s)
+             Haf_core.Seqset.empty applied_seqs;
        })
 
 let takeover at server kind ~from ~live =
