@@ -40,7 +40,7 @@ type t =
       server : int;
       session_id : string;
       req_seq : int;
-      applied : Seqset.t;
+      applied : Haf_sim.Seqset.t;
           (** Exact request seqs incorporated in the snapshot, as
               ranges: the monitor's acked-loss check diffs two of these
               in O(ranges). *)

@@ -17,6 +17,7 @@ module Engine = Haf_sim.Engine
 module Rng = Haf_sim.Rng
 module Trace = Haf_sim.Trace
 module Det_tbl = Haf_sim.Det_tbl
+module Seqset = Haf_sim.Seqset
 module Gcs = Haf_gcs.Gcs
 module View = Haf_gcs.View
 module Daemon = Haf_gcs.Daemon

@@ -70,7 +70,7 @@ module Make (S : Service_intf.SERVICE) : sig
         session_id : string;
         ctx : S.context;
         req_seq : int;
-        applied : Seqset.t;
+        applied : Haf_sim.Seqset.t;
         at : float;
       }
         (** Old primary -> new primary on a load-balancing migration:

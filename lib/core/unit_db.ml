@@ -1,3 +1,5 @@
+module Seqset = Haf_sim.Seqset
+
 type 'ctx snapshot = {
   snap_ctx : 'ctx;
   snap_req_seq : int;

@@ -14,7 +14,7 @@
 type 'ctx snapshot = {
   snap_ctx : 'ctx;
   snap_req_seq : int;  (** Highest incorporated request seq. *)
-  snap_applied : Seqset.t;
+  snap_applied : Haf_sim.Seqset.t;
       (** Exact incorporated request seqs, as canonical ranges: what a
           propagation, a [P_ctx] WAL record or a state delta carries for
           it is O(ranges), not O(requests ever applied). *)
@@ -159,7 +159,7 @@ val sound : 'ctx t -> (unit, string) result
 (** Structural invariants every sanctioned mutation preserves: sessions
     belong to this unit, tombstones carry no assignment or content, a
     primary is never its own backup, ids and seqs are non-negative, and
-    every propagated applied set is canonical ({!Seqset.check}).
+    every propagated applied set is canonical ({!Haf_sim.Seqset.check}).
     [Error detail] means the in-memory state was damaged. *)
 
 val equal_shape : 'ctx t -> 'ctx t -> bool

@@ -1,6 +1,7 @@
 module Engine = Haf_sim.Engine
 module Trace = Haf_sim.Trace
 module Det_tbl = Haf_sim.Det_tbl
+module Seqset = Haf_sim.Seqset
 module Transport = Haf_net.Transport
 module Fd = Failure_detector
 
@@ -32,13 +33,19 @@ type mstate =
 type gstate = {
   group : string;
   mutable view : View.t;
-  log : (int, Wire.entry) Hashtbl.t;  (* seq -> entry, current view only *)
+  log : (int, Wire.entry) Hashtbl.t;
+      (* seq -> entry, current view only, from [log_floor] up: the
+         entries below it every member of the view has delivered. *)
+  mutable log_floor : int;
+  reported : (proc, int) Hashtbl.t;
+      (* Co-member -> the [delivered_up_to] its latest advert for the
+         current view carried. *)
   mutable delivered_up_to : int;
   mutable next_seq : int;  (* sequencer-side counter *)
   mutable mstate : mstate;
   mutable max_epoch : int;
-  seen_uids : (Wire.uid, unit) Hashtbl.t;
-  delivered_uids : (Wire.uid, unit) Hashtbl.t;
+  seen_uids : Uid_set.t;
+  delivered_uids : Uid_set.t;
       (* Application-level exactly-once guard: a stale copy of a message
          can be re-sequenced after a merge (e.g. a Data_req parked in a
          transport retransmission queue across a partition reaches a new
@@ -79,7 +86,10 @@ type t = {
          faster than the suspicion timeout — and forces reconciliation. *)
   contacts : proc list;
   incarnation : int;
-  mutable next_serial : int;
+  serials : (string, int) Hashtbl.t;
+      (* group -> next uid serial.  Kept across [leave]: peers keep the
+         group's dedup sets, and would silence a rejoining member that
+         started again from serial 0. *)
   mutable timers : Engine.timer list;
   mutable view_changes : int;
   mutable audit_hook : (group:string -> Audit.verdict -> unit) option;
@@ -126,7 +136,7 @@ let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
     vid_mismatch = Hashtbl.create 16;
     contacts = List.filter (fun p -> p <> me) contacts;
     incarnation;
-    next_serial = 0;
+    serials = Hashtbl.create 8;
     timers = [];
     view_changes = 0;
     audit_hook = None;
@@ -142,8 +152,7 @@ let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
    any other. *)
 let send_reliable t dst msg = Transport.send t.transport ~src:t.me ~dst (Wire.encode msg)
 
-let send_raw t dst msg =
-  Transport.send_unreliable t.transport ~src:t.me ~dst (Wire.encode msg)
+let send_raw t dst payload = Transport.send_unreliable t.transport ~src:t.me ~dst payload
 
 (* The (group, peer) keys of [vid_mismatch], ordered. *)
 let compare_gp (g1, p1) (g2, p2) =
@@ -151,12 +160,14 @@ let compare_gp (g1, p1) (g2, p2) =
 
 let my_adverts t =
   Det_tbl.fold_sorted ~compare:String.compare
-    (fun g gs acc -> { Wire.adv_group = g; adv_vid = gs.view.View.id } :: acc)
+    (fun g gs acc ->
+      { Wire.adv_group = g; adv_vid = gs.view.View.id; adv_delivered = gs.delivered_up_to }
+      :: acc)
     t.gstates []
 
-let fresh_uid t =
-  let serial = t.next_serial in
-  t.next_serial <- serial + 1;
+let fresh_uid t group =
+  let serial = Option.value (Hashtbl.find_opt t.serials group) ~default:0 in
+  Hashtbl.replace t.serials group (serial + 1);
   { Wire.origin = t.me; incarnation = t.incarnation; serial }
 
 (* ------------------------------------------------------------------ *)
@@ -198,23 +209,48 @@ let stats_audits_failed t = t.audits_failed
 
 let stats_resets t = t.resets
 
+type history = {
+  log_seqs : int list;
+  seen : ((proc * int) * Seqset.t) list;
+  delivered : ((proc * int) * Seqset.t) list;
+}
+
+let history t group =
+  Option.map
+    (fun gs ->
+      {
+        log_seqs = Det_tbl.sorted_keys ~compare:Int.compare gs.log;
+        seen = Uid_set.ranges gs.seen_uids;
+        delivered = Uid_set.ranges gs.delivered_uids;
+      })
+    (Hashtbl.find_opt t.gstates group)
+
 (* ------------------------------------------------------------------ *)
 (* Delivery                                                            *)
 
-let note_logged t gs (entry : Wire.entry) =
-  Hashtbl.replace gs.seen_uids entry.uid ();
-  Hashtbl.remove gs.relayed entry.uid;
-  if entry.uid.origin = t.me then
-    gs.outstanding <-
-      List.filter (fun (uid, _) -> uid <> entry.uid) gs.outstanding
+(* [l] without [uid]'s binding; [l] itself when it holds none. *)
+let rec drop_outstanding (uid : Wire.uid) l =
+  match l with
+  | [] -> l
+  | ((u, _) as x) :: rest ->
+      if Wire.compare_uid u uid = 0 then rest
+      else
+        let rest' = drop_outstanding uid rest in
+        if rest' == rest then l else x :: rest'
 
-let deliver t gs (entry : Wire.entry) =
-  if not (Hashtbl.mem gs.delivered_uids entry.uid) then begin
-    Hashtbl.replace gs.delivered_uids entry.uid ();
+let[@hot] note_logged t gs (entry : Wire.entry) =
+  Uid_set.add gs.seen_uids entry.uid;
+  Hashtbl.remove gs.relayed entry.uid;
+  if Int.equal entry.uid.origin t.me then
+    gs.outstanding <- drop_outstanding entry.uid gs.outstanding
+
+let[@hot] deliver t gs (entry : Wire.entry) =
+  if not (Uid_set.mem gs.delivered_uids entry.uid) then begin
+    Uid_set.add gs.delivered_uids entry.uid;
     t.callbacks.on_message ~group:gs.group ~sender:entry.orig entry.payload
   end
 
-let deliver_contiguous t gs =
+let[@hot] deliver_contiguous t gs =
   let continue = ref true in
   while !continue do
     match Hashtbl.find_opt gs.log (gs.delivered_up_to + 1) with
@@ -224,14 +260,59 @@ let deliver_contiguous t gs =
     | None -> continue := false
   done
 
+(* Start a view's log afresh: on install and on reset. *)
+let clear_log gs =
+  Hashtbl.reset gs.log;
+  gs.log_floor <- 1;
+  Hashtbl.reset gs.reported;
+  gs.delivered_up_to <- 0
+
+(* Store a received entry, unless a copy is held or was already trimmed
+   as delivered everywhere. *)
+let[@hot] log_entry gs seq entry =
+  if seq >= gs.log_floor && not (Hashtbl.mem gs.log seq) then
+    Hashtbl.replace gs.log seq entry
+
+(* ------------------------------------------------------------------ *)
+(* Stability: trimming the view log                                    *)
+
+(* The lowest delivery clock over [members]: [own] for this daemon, the
+   reported value for a co-member; [-1] while one has not reported. *)
+let rec reported_min gs me own acc = function
+  | [] -> acc
+  | m :: rest ->
+      if Int.equal m me then reported_min gs me own (Int.min acc own) rest
+      else (
+        match Hashtbl.find gs.reported m with
+        | d -> reported_min gs me own (Int.min acc d) rest
+        | exception Not_found -> -1)
+
+(* Drop the log entries every member of the view has delivered; run on
+   each heartbeat tick, after the audit.  A survivor of the next view change needs only the entries above its own
+   [delivered_up_to], and none of those is dropped anywhere; the entry
+   at our own clock stays, for the audit's horizon check.  A stale or
+   corrupted report can only hold trimming back, except at the member
+   that sent it.  Not during a view change: the flush is already under
+   way with the log as it stands. *)
+let[@hot] trim_log t gs =
+  match gs.mstate with
+  | Stable ->
+      let own = gs.delivered_up_to in
+      let stable = reported_min gs t.me own own gs.view.View.members in
+      while gs.log_floor < stable do
+        Hashtbl.remove gs.log gs.log_floor;
+        gs.log_floor <- gs.log_floor + 1
+      done
+  | Proposing _ | Flushed _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Sequencing (this daemon is the coordinator of the current view)     *)
 
 (* Assign the next slot to an unseen entry: the one place sequence
    numbers are minted, shared by the per-entry and the batched path so
    both produce the same total order for the same submission order. *)
-let assign_seq t gs (entry : Wire.entry) =
-  if Hashtbl.mem gs.seen_uids entry.uid then None
+let[@hot] assign_seq t gs (entry : Wire.entry) =
+  if Uid_set.mem gs.seen_uids entry.uid then None
   else begin
     let seq = gs.next_seq in
     gs.next_seq <- seq + 1;
@@ -368,7 +449,6 @@ let rec apply_install t gs ~epoch ~view_id ~members ~sync =
   | Some entries ->
       List.iter
         (fun (seq, entry) ->
-          Hashtbl.replace gs.seen_uids entry.Wire.uid ();
           note_logged t gs entry;
           if seq > gs.delivered_up_to then begin
             gs.delivered_up_to <- seq;
@@ -378,8 +458,7 @@ let rec apply_install t gs ~epoch ~view_id ~members ~sync =
   | None -> ());
   let view = View.make ~id:view_id ~group:gs.group ~members in
   gs.view <- view;
-  Hashtbl.reset gs.log;
-  gs.delivered_up_to <- 0;
+  clear_log gs;
   gs.next_seq <- 1;
   gs.mstate <- Stable;
   gs.max_epoch <- Int.max gs.max_epoch epoch;
@@ -548,8 +627,7 @@ let audit_ok t =
    lives. *)
 let reset_group t gs =
   gs.view <- View.singleton ~group:gs.group t.me;
-  Hashtbl.reset gs.log;
-  gs.delivered_up_to <- 0;
+  clear_log gs;
   gs.next_seq <- 1;
   gs.mstate <- Stable;
   gs.max_epoch <- Int.max 0 gs.max_epoch;
@@ -582,9 +660,10 @@ let audit_group t gs =
         reset_group t gs;
         false
 
+(* Each tick, per group: the audit, then, on a sound group, trimming. *)
 let audit_all t =
   Det_tbl.iter_sorted ~compare:String.compare
-    (fun _ gs -> ignore (audit_group t gs))
+    (fun _ gs -> if audit_group t gs then trim_log t gs)
     t.gstates
 
 (* Chaos delivery point: each heartbeat tick asks the engine's corruptor
@@ -647,7 +726,10 @@ let record_adverts t sender advs =
               if not (Hashtbl.mem t.vid_mismatch (g, sender)) then
                 Hashtbl.replace t.vid_mismatch (g, sender) (now t)
             end
-            else Hashtbl.remove t.vid_mismatch (g, sender)
+            else begin
+              Hashtbl.remove t.vid_mismatch (g, sender);
+              Hashtbl.replace gs.reported sender a.Wire.adv_delivered
+            end
         | None -> Hashtbl.remove t.vid_mismatch (g, sender))
       t.gstates
 
@@ -658,8 +740,9 @@ let heartbeat_tick_body t =
        is bounded below by a heartbeat period — never zero. *)
     audit_all t;
     corruption_tick t;
-    let adverts = my_adverts t in
-    List.iter (fun p -> send_raw t p (Wire.Ping { adverts })) (Fd.monitored t.fd);
+    (* One encoding for every peer: the bytes are the same. *)
+    let ping = Wire.encode (Wire.Ping { adverts = my_adverts t }) in
+    List.iter (fun p -> send_raw t p ping) (Fd.monitored t.fd);
     ignore (Fd.sweep t.fd ~now:(now t));
     Det_tbl.iter_sorted ~compare:String.compare
       (fun _ gs -> sweep_group t gs)
@@ -751,7 +834,7 @@ let handle_data t ~group ~vid ~seq ~entry =
          resets the group on failure, after which [vid] no longer
          matches and the data is ignored like any other stale frame. *)
       if audit_group t gs && View.Id.equal vid gs.view.View.id then begin
-        if not (Hashtbl.mem gs.log seq) then Hashtbl.replace gs.log seq entry;
+        log_entry gs seq entry;
         note_logged t gs entry;
         match gs.mstate with Stable -> deliver_contiguous t gs | _ -> ()
       end
@@ -763,7 +846,7 @@ let handle_data_batch t ~group ~vid ~entries =
       if audit_group t gs && View.Id.equal vid gs.view.View.id then begin
         List.iter
           (fun (seq, entry) ->
-            if not (Hashtbl.mem gs.log seq) then Hashtbl.replace gs.log seq entry;
+            log_entry gs seq entry;
             note_logged t gs entry)
           entries;
         match gs.mstate with Stable -> deliver_contiguous t gs | _ -> ()
@@ -778,7 +861,7 @@ let handle_data_req t ~group ~entry =
           let coord = View.coordinator gs.view in
           if coord = t.me then sequence t gs entry
           else begin
-            if not (Hashtbl.mem gs.seen_uids entry.Wire.uid) then
+            if not (Uid_set.mem gs.seen_uids entry.Wire.uid) then
               Hashtbl.replace gs.relayed entry.Wire.uid entry;
             send_reliable t coord (Wire.Data_req { group; entry })
           end
@@ -857,7 +940,7 @@ let on_raw t ~src payload =
     | None -> ()
     | Some (Wire.Ping { adverts }) ->
         record_adverts t src adverts;
-        send_raw t src (Wire.Pong { adverts = my_adverts t })
+        send_raw t src (Wire.encode (Wire.Pong { adverts = my_adverts t }))
     | Some (Wire.Pong { adverts }) -> record_adverts t src adverts
     (* Reliable-only traffic never legitimately arrives on the raw
        datagram path; name every constructor (deep-lint R6) so a new
@@ -900,12 +983,14 @@ let join t group =
         group;
         view = View.singleton ~group t.me;
         log = Hashtbl.create 32;
+        log_floor = 1;
+        reported = Hashtbl.create 4;
         delivered_up_to = 0;
         next_seq = 1;
         mstate = Stable;
         max_epoch = 0;
-        seen_uids = Hashtbl.create 64;
-        delivered_uids = Hashtbl.create 64;
+        seen_uids = Uid_set.create ();
+        delivered_uids = Uid_set.create ();
         outstanding = [];
         relayed = Hashtbl.create 16;
         pending_open = [];
@@ -933,7 +1018,7 @@ let multicast t group payload =
   match Hashtbl.find_opt t.gstates group with
   | None -> invalid_arg (Printf.sprintf "Daemon.multicast: %d not in %s" t.me group)
   | Some gs ->
-      let uid = fresh_uid t in
+      let uid = fresh_uid t group in
       gs.outstanding <- (uid, payload) :: gs.outstanding;
       submit t gs { Wire.uid; orig = t.me; payload }
 
@@ -941,7 +1026,7 @@ let open_send t group payload =
   match Hashtbl.find_opt t.gstates group with
   | Some _ -> multicast t group payload
   | None ->
-      let entry = { Wire.uid = fresh_uid t; orig = t.me; payload } in
+      let entry = { Wire.uid = fresh_uid t group; orig = t.me; payload } in
       let believed = believed_members t group in
       let targets = List.filter (fun p -> reachable t p && p <> t.me) believed in
       let targets = if targets = [] then List.filter (reachable t) t.contacts else targets in

@@ -8,12 +8,16 @@
     - an epoch-numbered, coordinator-driven membership protocol with a
       flush phase that realizes {e virtual synchrony}: members moving
       together from view [v] to [v'] deliver the same set of messages in
-      [v], obtained as the union of the surviving members' view logs;
+      [v], obtained as the union of the surviving members' view logs.
+      A log holds only the view's unstable messages: adverts carry each
+      member's delivery clock, and each heartbeat tick drops the entries
+      every member of the view has delivered;
     - sequencer-based totally ordered reliable multicast within each
       view (the view coordinator assigns sequence numbers);
     - open-group sends: a non-member routes a message to the group via
       the members it believes exist (or relay daemons), deduplicated at
-      the sequencer by message uid;
+      the sequencer by message uid (serials are minted per group, and
+      the dedup sets keep each source's serials as ranges);
     - point-to-point application messages.
 
     Join, leave, crash, partition and merge all funnel through one code
@@ -112,6 +116,22 @@ val membership_stable : t -> string -> bool
 val stats_view_changes : t -> int
 
 val incarnation : t -> int
+
+type history = {
+  log_seqs : int list;
+      (** Seqs the current view's log holds, ascending: its unstable
+          suffix, from the lowest delivery clock any member of the view
+          has advertised. *)
+  seen : ((proc * int) * Haf_sim.Seqset.t) list;
+      (** Per source [(origin, incarnation)], ascending: the uid serials
+          logged in this group, as ranges. *)
+  delivered : ((proc * int) * Haf_sim.Seqset.t) list;
+      (** Likewise for the serials delivered to the application. *)
+}
+(** What a group's daemon state retains of its message history. *)
+
+val history : t -> string -> history option
+(** [None] if not a member.  Read-only. *)
 
 (** {2 Self-stabilization}
 

@@ -214,6 +214,8 @@ let reachable t p q = Daemon.reachable (daemon t p) q
 
 let membership_stable t p g = Daemon.membership_stable (daemon t p) g
 
+let history t p g = Daemon.history (daemon t p) g
+
 let alive t p = match (slot t p).daemon with Some d -> Daemon.alive d | None -> false
 
 let crash t p =

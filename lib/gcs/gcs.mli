@@ -132,6 +132,10 @@ val set_link : t -> proc -> proc -> bool -> unit
 val daemon : t -> proc -> Daemon.t
 (** The live daemon for a process.  @raise Not_found if crashed. *)
 
+val history : t -> proc -> string -> Daemon.history option
+(** [p]'s retained message history for a group (see {!Daemon.history}).
+    @raise Not_found if crashed. *)
+
 val total_view_changes : t -> int
 
 val total_audits_failed : t -> int

@@ -12,7 +12,7 @@ let compare_uid a b =
 
 type entry = { uid : uid; orig : proc; payload : string }
 
-type advert = { adv_group : string; adv_vid : View.Id.t }
+type advert = { adv_group : string; adv_vid : View.Id.t; adv_delivered : int }
 
 type flush_info = {
   fi_sender : proc;
@@ -68,7 +68,7 @@ let valid_entry (e : entry) = valid_uid e.uid && e.orig >= 0
 let valid_vid (v : View.Id.t) = v.View.Id.epoch >= 0 && v.View.Id.coord >= 0
 
 let valid_advert (a : advert) =
-  String.length a.adv_group > 0 && valid_vid a.adv_vid
+  String.length a.adv_group > 0 && valid_vid a.adv_vid && a.adv_delivered >= 0
 
 let valid_log log =
   List.for_all (fun (seq, e) -> seq >= 1 && valid_entry e) log

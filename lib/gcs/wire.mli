@@ -7,11 +7,13 @@
 type proc = int
 
 type uid = { origin : proc; incarnation : int; serial : int }
-(** Globally unique application-message id: used to deduplicate
-    resubmissions across view changes and fan-out copies of open-group
-    sends.  [incarnation] is drawn at daemon start so that a restarted
-    process never reuses a previous life's ids (survivors keep old uids
-    in their dedup tables and would otherwise silence the new process). *)
+(** Application-message id, unique within its group: used to
+    deduplicate resubmissions across view changes and fan-out copies of
+    open-group sends.  [serial] counts the origin's sends to that group,
+    so one origin's serials in a group are contiguous.  [incarnation] is
+    drawn at daemon start so that a restarted process never reuses a
+    previous life's ids (survivors keep old uids in their dedup sets and
+    would otherwise silence the new process). *)
 
 val compare_uid : uid -> uid -> int
 (** Explicit total order on uids ([origin], then [incarnation], then
@@ -21,15 +23,21 @@ val compare_uid : uid -> uid -> int
 type entry = { uid : uid; orig : proc; payload : string }
 (** An application multicast as carried by the protocol. *)
 
-type advert = { adv_group : string; adv_vid : View.Id.t }
-(** "I am a member of [adv_group], currently in view [adv_vid]" —
-    piggybacked on heartbeats; the basis of discovery and merge. *)
+type advert = { adv_group : string; adv_vid : View.Id.t; adv_delivered : int }
+(** "I am a member of [adv_group], currently in view [adv_vid], and have
+    delivered its messages up to seq [adv_delivered]" — piggybacked on
+    heartbeats.  Group and view id are the basis of discovery and merge;
+    the delivery clock tells co-members of the same view which log
+    entries every member has delivered, so they can drop them. *)
 
 type flush_info = {
   fi_sender : proc;
   fi_member : bool;  (** [false]: not in this group (stale proposal). *)
   fi_prev_vid : View.Id.t;
-  fi_log : (int * entry) list;  (** seq -> entry, the sender's view log. *)
+  fi_log : (int * entry) list;
+      (** seq -> entry: the sender's view log, which holds the view's
+          unstable suffix — every entry above the lowest delivery clock
+          its co-members have advertised. *)
 }
 
 type msg =
@@ -46,7 +54,8 @@ type msg =
       members : proc list;
       sync : (View.Id.t * (int * entry) list) list;
           (** Per previous-view synchronization sets: the union of the
-              surviving members' logs, the heart of virtual synchrony. *)
+              surviving members' (unstable) logs, the heart of virtual
+              synchrony. *)
     }
   | Data_req of { group : string; entry : entry }
   | Data of { group : string; vid : View.Id.t; seq : int; entry : entry }

@@ -36,7 +36,7 @@ type session_state = {
   ss_primaries : (int, float) Hashtbl.t;  (* server -> believed-since *)
   mutable ss_dual_since : float option;
   mutable ss_dual_flagged : bool;
-  mutable ss_acked : (float * Haf_core.Seqset.t) option;
+  mutable ss_acked : (float * Haf_sim.Seqset.t) option;
       (* Baseline propagation for the acked-loss check: (time, exact
          applied seqs).  [None] while the baseline is invalid — before
          the first propagation, or across a dual-primary episode whose
@@ -44,7 +44,7 @@ type session_state = {
   mutable ss_holders : int list;
       (* Content-group members at baseline time: the candidate
          witnesses of the acked state. *)
-  mutable ss_candidates : (float * Haf_core.Seqset.t * int list) list;
+  mutable ss_candidates : (float * Haf_sim.Seqset.t * int list) list;
       (* Unconfirmed baselines, newest first: (time, applied seqs,
          holders).  [Propagated] fires at multicast send time, so a
          content-group view change within [ack_confirm_delay] may have
@@ -195,7 +195,7 @@ let check_acked_loss t ss ~now ~emitter ~applied =
   promote_candidates t ss ~now;
   (match (live_primaries t ss, ss.ss_acked) with
   | [ (sole, _) ], Some (t0, prev) when sole = emitter ->
-      let missing = Haf_core.Seqset.diff prev applied in
+      let missing = Haf_sim.Seqset.diff prev applied in
       if missing <> [] then begin
         let witnesses =
           List.filter
@@ -210,7 +210,7 @@ let check_acked_loss t ss ~now ~emitter ~applied =
                   since %.3f"
                  emitter
                  (String.concat ","
-                    (List.map string_of_int (Haf_core.Seqset.elements missing)))
+                    (List.map string_of_int (Haf_sim.Seqset.elements missing)))
                  (String.concat ","
                     (List.map (fun s -> "s" ^ string_of_int s) witnesses))
                  t0)

@@ -104,7 +104,7 @@ let requests_lost tl ~sid =
         Hashtbl.replace knowledge server k;
         k
   in
-  let snapshot = ref Haf_core.Seqset.empty in
+  let snapshot = ref Haf_sim.Seqset.empty in
   let current_primary = ref None in
   List.iter
     (fun (_, e) ->
@@ -128,7 +128,7 @@ let requests_lost tl ~sid =
                  (as a backup it applied every request it received). *)
               List.iter
                 (fun seq -> Hashtbl.replace k seq ())
-                (Haf_core.Seqset.elements !snapshot));
+                (Haf_sim.Seqset.elements !snapshot));
           current_primary := Some server
       | Events.Role_assumed { session_id; server; role = Events.Primary }
         when session_id = sid ->
@@ -138,7 +138,7 @@ let requests_lost tl ~sid =
   let known =
     match !current_primary with
     | Some p -> Hashtbl.mem (know p)
-    | None -> Fun.flip Haf_core.Seqset.mem !snapshot
+    | None -> Fun.flip Haf_sim.Seqset.mem !snapshot
   in
   let lost = List.filter (fun seq -> not (known seq)) !sent in
   (List.length lost, List.length !sent)

@@ -355,6 +355,12 @@ let test_leave_then_rejoin () =
   let engine, gcs, rec_ = make ~n:3 () in
   List.iter (fun p -> Gcs.join gcs p "g") (Gcs.servers gcs);
   settle engine ~until:3.;
+  (* Member 2 multicasts before it leaves and again after it rejoins, in
+     the same incarnation: its uid serials in the group must carry on
+     across the leave, or the survivors' dedup sets would swallow the
+     second message. *)
+  Gcs.multicast gcs 2 "g" "before-leave";
+  settle engine ~until:4.;
   Gcs.leave gcs 2 "g";
   settle engine ~until:7.;
   Gcs.join gcs 2 "g";
@@ -370,8 +376,130 @@ let test_leave_then_rejoin () =
     (Gcs.servers gcs);
   Gcs.multicast gcs 2 "g" "rejoined";
   settle engine ~until:18.;
-  check Alcotest.bool "rejoined member can multicast" true
-    (List.exists (fun (_, p) -> p = "rejoined") (deliveries_of rec_ ~proc:0 ~group:"g"))
+  List.iter
+    (fun p ->
+      List.iter
+        (fun payload ->
+          check Alcotest.bool
+            (Printf.sprintf "%s delivered at %d" payload p)
+            true
+            (List.exists
+               (fun (_, m) -> String.equal m payload)
+               (deliveries_of rec_ ~proc:p ~group:"g")))
+        [ "before-leave"; "rejoined" ])
+    (Gcs.servers gcs)
+
+(* ------------------------------------------------------------------ *)
+(* Retained history: the view log keeps only its unstable suffix       *)
+
+let history ?(group = "g") gcs p =
+  match Gcs.history gcs p group with
+  | Some h -> h
+  | None -> Alcotest.fail (Printf.sprintf "%d not in %s" p group)
+
+let check_one_view rec_ gcs =
+  List.iter
+    (fun p ->
+      match last_view rec_ ~proc:p ~group:"g" with
+      | Some v ->
+          check (Alcotest.list Alcotest.int)
+            (Printf.sprintf "one view at %d" p)
+            [ 0; 1; 2 ] v.View.members
+      | None -> Alcotest.fail "no view")
+    (Gcs.servers gcs)
+
+let test_bounded_history () =
+  (* Regression: the log held every message of the view and the uid
+     tables every uid ever seen, so a long-lived view's state grew with
+     its traffic.  A singleton view, which hears no co-member's advert,
+     trims too. *)
+  let engine, gcs, rec_ = make ~n:3 () in
+  List.iter (fun p -> Gcs.join gcs p "g") (Gcs.servers gcs);
+  Gcs.join gcs 0 "solo";
+  settle engine ~until:3.;
+  check_one_view rec_ gcs;
+  for i = 0 to 4_999 do
+    Gcs.multicast gcs (i mod 3) "g" (Printf.sprintf "m%d" i);
+    if i mod 10 = 0 then Gcs.multicast gcs 0 "solo" (Printf.sprintf "s%d" i);
+    if i mod 50 = 49 then settle engine ~until:(3. +. (0.01 *. float_of_int (i / 50)))
+  done;
+  settle engine ~until:6.;
+  check_one_view rec_ gcs;
+  List.iter
+    (fun p ->
+      check Alcotest.int
+        (Printf.sprintf "all delivered at %d" p)
+        5_000
+        (List.length (deliveries_of rec_ ~proc:p ~group:"g"));
+      let h = history gcs p in
+      check Alcotest.bool
+        (Printf.sprintf "log at %d holds %d entries" p (List.length h.log_seqs))
+        true
+        (List.length h.log_seqs <= 2);
+      List.iter
+        (fun (what, sets) ->
+          check Alcotest.int (Printf.sprintf "%s sources at %d" what p) 3 (List.length sets);
+          List.iter
+            (fun ((origin, _), ranges) ->
+              check Alcotest.int
+                (Printf.sprintf "%s ranges from %d at %d" what origin p)
+                1 (List.length ranges))
+            sets)
+        [ ("seen", h.seen); ("delivered", h.delivered) ])
+    (Gcs.servers gcs);
+  check Alcotest.int "all delivered in solo" 500
+    (List.length (deliveries_of rec_ ~proc:0 ~group:"solo"));
+  let h = history ~group:"solo" gcs 0 in
+  check Alcotest.bool "solo log trimmed" true (List.length h.log_seqs <= 2);
+  check
+    (Alcotest.list (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)))
+    "solo serials" [ [ (0, 499) ] ] (List.map snd h.delivered)
+
+let test_lagging_member_holds_trimming () =
+  (* Member 2's inbound link from the sequencer is slow, so it delivers
+     well behind the others.  Trimming must wait for it: when the
+     sequencer crashes, the messages 2 has not yet received survive
+     only in member 1's log.  A daemon that trimmed at its own delivery
+     clock would drop them, and 2 would skip them at the install.  The
+     lag starts once the view has formed: an install that reached 2 a
+     second late would look like a missed merge and restart the
+     membership protocol. *)
+  let engine, gcs, rec_ = make ~n:3 () in
+  List.iter (fun p -> Gcs.join gcs p "g") (Gcs.servers gcs);
+  settle engine ~until:4.;
+  check_one_view rec_ gcs;
+  Network.set_link_delay (Gcs.network gcs) 0 2 (Some 1.);
+  let trimmed = ref false in
+  for i = 0 to 299 do
+    Gcs.multicast gcs (i mod 3) "g" (Printf.sprintf "m%d" i);
+    settle engine ~until:(4. +. (0.02 *. float_of_int (i + 1)));
+    if i mod 25 = 24 then begin
+      let lagging = List.length (deliveries_of rec_ ~proc:2 ~group:"g") in
+      List.iter
+        (fun p ->
+          match (history gcs p).log_seqs with
+          | lo :: _ ->
+              if lo > 1 then trimmed := true;
+              check Alcotest.bool
+                (Printf.sprintf "log at %d starts at %d <= 2's %d deliveries" p lo lagging)
+                true (lo <= Int.max 1 lagging)
+          | [] -> ())
+        [ 0; 1 ]
+    end
+  done;
+  check_one_view rec_ gcs;
+  check Alcotest.bool "logs were trimmed during the run" true !trimmed;
+  Gcs.crash gcs 0;
+  settle engine ~until:20.;
+  let at p = deliveries_of rec_ ~proc:p ~group:"g" in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "survivors deliver the same sequence" (at 1) (at 2);
+  let payloads = List.map snd (at 2) in
+  check Alcotest.int "no duplicates"
+    (List.length payloads)
+    (List.length (List.sort_uniq String.compare payloads));
+  check Alcotest.bool "2 delivered the lagged messages" true (List.length payloads >= 250)
 
 let test_fast_restart_reconverges () =
   (* A process that crashes and restarts faster than the suspicion
@@ -640,6 +768,9 @@ let suite =
           test_multicast_during_view_change_not_lost;
         Alcotest.test_case "virtual synchrony on crash" `Quick
           test_virtual_synchrony_on_crash;
+        Alcotest.test_case "bounded history" `Quick test_bounded_history;
+        Alcotest.test_case "lagging member holds trimming back" `Quick
+          test_lagging_member_holds_trimming;
       ]
       @ qsuite [ prop_total_order_random_crashes ] );
     ( "gcs.open+p2p",

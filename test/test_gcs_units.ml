@@ -14,6 +14,184 @@ module Gcs = Haf_gcs.Gcs
 let check = Alcotest.check
 
 (* ------------------------------------------------------------------ *)
+(* Wire.validate: the decode boundary *)
+
+module Wire = Haf_gcs.Wire
+
+let vid = { View.Id.epoch = 2; coord = 0 }
+
+let uid = { Wire.origin = 1; incarnation = 3; serial = 0 }
+
+let entry = { Wire.uid; orig = 1; payload = "x" }
+
+let advert = { Wire.adv_group = "g"; adv_vid = vid; adv_delivered = 4 }
+
+let info =
+  { Wire.fi_sender = 1; fi_member = true; fi_prev_vid = vid; fi_log = [ (1, entry) ] }
+
+(* One well-formed value per constructor. *)
+let accepted =
+  [
+    ("ping", Wire.Ping { adverts = [ advert ] });
+    ("pong", Wire.Pong { adverts = [] });
+    ("propose", Wire.Propose { group = "g"; epoch = 3; candidates = [ 0; 1 ] });
+    ("flush_reply", Wire.Flush_reply { group = "g"; epoch = 3; info });
+    ("nack", Wire.Nack { group = "g"; epoch_hint = 0 });
+    ( "install",
+      Wire.Install
+        { group = "g"; epoch = 3; view_id = vid; members = [ 0; 1 ];
+          sync = [ (vid, [ (1, entry) ]) ] } );
+    ("data_req", Wire.Data_req { group = "g"; entry });
+    ("data", Wire.Data { group = "g"; vid; seq = 1; entry });
+    ("data_batch", Wire.Data_batch { group = "g"; vid; entries = [ (1, entry); (2, entry) ] });
+    ("open_send", Wire.Open_send { group = "g"; entry; ttl = 0 });
+    ("leave", Wire.Leave { group = "g"; who = 2 });
+    ("p2p", Wire.P2p { payload = "" });
+  ]
+
+(* One value per malformed field. *)
+let rejected =
+  let bad_vid = { View.Id.epoch = -1; coord = 0 } in
+  let bad_entry = { entry with Wire.orig = -1 } in
+  let uid_with f = { entry with Wire.uid = f uid } in
+  [
+    ("advert: empty group", Wire.Ping { adverts = [ { advert with adv_group = "" } ] });
+    ("advert: bad vid", Wire.Pong { adverts = [ { advert with adv_vid = bad_vid } ] });
+    ("advert: negative coord",
+      Wire.Ping { adverts = [ { advert with adv_vid = { vid with View.Id.coord = -1 } } ] });
+    ("advert: negative delivered",
+      Wire.Ping { adverts = [ advert; { advert with adv_delivered = -1 } ] });
+    ("propose: empty group", Wire.Propose { group = ""; epoch = 3; candidates = [ 0 ] });
+    ("propose: epoch 0", Wire.Propose { group = "g"; epoch = 0; candidates = [ 0 ] });
+    ("propose: no candidates", Wire.Propose { group = "g"; epoch = 3; candidates = [] });
+    ("propose: negative candidate",
+      Wire.Propose { group = "g"; epoch = 3; candidates = [ 0; -2 ] });
+    ("flush_reply: empty group", Wire.Flush_reply { group = ""; epoch = 3; info });
+    ("flush_reply: epoch 0", Wire.Flush_reply { group = "g"; epoch = 0; info });
+    ("flush_reply: negative sender",
+      Wire.Flush_reply { group = "g"; epoch = 3; info = { info with fi_sender = -1 } });
+    ("flush_reply: bad prev vid",
+      Wire.Flush_reply { group = "g"; epoch = 3; info = { info with fi_prev_vid = bad_vid } });
+    ("flush_reply: seq 0",
+      Wire.Flush_reply { group = "g"; epoch = 3; info = { info with fi_log = [ (0, entry) ] } });
+    ("flush_reply: bad entry",
+      Wire.Flush_reply
+        { group = "g"; epoch = 3; info = { info with fi_log = [ (1, bad_entry) ] } });
+    ("nack: empty group", Wire.Nack { group = ""; epoch_hint = 1 });
+    ("nack: negative hint", Wire.Nack { group = "g"; epoch_hint = -1 });
+    ( "install: empty group",
+      Wire.Install { group = ""; epoch = 3; view_id = vid; members = [ 0 ]; sync = [] } );
+    ( "install: epoch 0",
+      Wire.Install { group = "g"; epoch = 0; view_id = vid; members = [ 0 ]; sync = [] } );
+    ( "install: bad view id",
+      Wire.Install { group = "g"; epoch = 3; view_id = bad_vid; members = [ 0 ]; sync = [] } );
+    ( "install: no members",
+      Wire.Install { group = "g"; epoch = 3; view_id = vid; members = []; sync = [] } );
+    ( "install: negative member",
+      Wire.Install { group = "g"; epoch = 3; view_id = vid; members = [ -1 ]; sync = [] } );
+    ( "install: bad sync vid",
+      Wire.Install
+        { group = "g"; epoch = 3; view_id = vid; members = [ 0 ]; sync = [ (bad_vid, []) ] } );
+    ( "install: bad sync log",
+      Wire.Install
+        { group = "g"; epoch = 3; view_id = vid; members = [ 0 ];
+          sync = [ (vid, [ (-1, entry) ]) ] } );
+    ("data_req: empty group", Wire.Data_req { group = ""; entry });
+    ("data_req: negative origin",
+      Wire.Data_req { group = "g"; entry = uid_with (fun u -> { u with origin = -1 }) });
+    ("data_req: negative incarnation",
+      Wire.Data_req { group = "g"; entry = uid_with (fun u -> { u with incarnation = -1 }) });
+    ("data_req: negative serial",
+      Wire.Data_req { group = "g"; entry = uid_with (fun u -> { u with serial = -1 }) });
+    ("data: empty group", Wire.Data { group = ""; vid; seq = 1; entry });
+    ("data: bad vid", Wire.Data { group = "g"; vid = bad_vid; seq = 1; entry });
+    ("data: seq 0", Wire.Data { group = "g"; vid; seq = 0; entry });
+    ("data: bad entry", Wire.Data { group = "g"; vid; seq = 1; entry = bad_entry });
+    ("data_batch: empty group", Wire.Data_batch { group = ""; vid; entries = [ (1, entry) ] });
+    ("data_batch: bad vid",
+      Wire.Data_batch { group = "g"; vid = bad_vid; entries = [ (1, entry) ] });
+    ("data_batch: no entries", Wire.Data_batch { group = "g"; vid; entries = [] });
+    ("data_batch: bad entry",
+      Wire.Data_batch { group = "g"; vid; entries = [ (1, entry); (2, bad_entry) ] });
+    ("open_send: empty group", Wire.Open_send { group = ""; entry; ttl = 1 });
+    ("open_send: bad entry", Wire.Open_send { group = "g"; entry = bad_entry; ttl = 1 });
+    ("open_send: negative ttl", Wire.Open_send { group = "g"; entry; ttl = -1 });
+    ("leave: empty group", Wire.Leave { group = ""; who = 1 });
+    ("leave: negative who", Wire.Leave { group = "g"; who = -1 });
+  ]
+
+let test_wire_validate () =
+  List.iter
+    (fun (name, m) ->
+      check Alcotest.bool ("accepts " ^ name) true (Result.is_ok (Wire.validate m)))
+    accepted;
+  List.iter
+    (fun (name, m) ->
+      check Alcotest.bool ("rejects " ^ name) true (Result.is_error (Wire.validate m)))
+    rejected
+
+(* ------------------------------------------------------------------ *)
+(* Uid_set against a plain list of uids *)
+
+module Uid_set = Haf_gcs.Uid_set
+module Seqset = Haf_sim.Seqset
+
+(* Random add histories over 4 sources: mostly each source's next serial,
+   sometimes a repeat or a jump either way. *)
+let prop_uid_set_oracle =
+  let op =
+    QCheck.Gen.(
+      triple (int_bound 3) (frequency [ (4, return None); (1, map Option.some (int_bound 40)) ])
+        unit)
+  in
+  QCheck.Test.make ~name:"uid_set: mem and ranges match a uid-list oracle" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 120) op))
+    (fun ops ->
+      let set = Uid_set.create () in
+      let next = Array.make 4 0 in
+      let oracle = ref [] in
+      let source k = (k mod 2, 7 * (k / 2)) in
+      List.iter
+        (fun (k, jump, ()) ->
+          let serial = match jump with Some s -> s | None -> next.(k) in
+          next.(k) <- serial + 1;
+          let origin, incarnation = source k in
+          Uid_set.add set { Haf_gcs.Wire.origin; incarnation; serial };
+          if not (List.mem (origin, incarnation, serial) !oracle) then
+            oracle := (origin, incarnation, serial) :: !oracle)
+        ops;
+      let all_mem =
+        List.for_all
+          (fun k ->
+            let origin, incarnation = source k in
+            List.for_all
+              (fun serial ->
+                Bool.equal
+                  (Uid_set.mem set { Haf_gcs.Wire.origin; incarnation; serial })
+                  (List.mem (origin, incarnation, serial) !oracle))
+              (List.init 45 Fun.id))
+          [ 0; 1; 2; 3 ]
+      in
+      let expected =
+        List.filter_map
+          (fun k ->
+            let o, i = source k in
+            match
+              List.sort_uniq Int.compare
+                (List.filter_map
+                   (fun (o', i', s) -> if o = o' && i = i' then Some s else None)
+                   !oracle)
+            with
+            | [] -> None
+            | serials -> Some ((o, i), serials))
+          [ 0; 2; 1; 3 ]
+      in
+      let got = Uid_set.ranges set in
+      all_mem
+      && List.for_all (fun (_, r) -> Result.is_ok (Seqset.check r)) got
+      && List.map (fun (src, r) -> (src, Seqset.elements r)) got = expected)
+
+(* ------------------------------------------------------------------ *)
 (* View *)
 
 let test_view_id_order () =
@@ -801,6 +979,8 @@ let suite =
         Alcotest.test_case "trace" `Quick test_trace_capture_and_filter;
         Alcotest.test_case "trace: disabled sink skips formatting" `Quick
           test_trace_disabled_skips_formatting;
+        Alcotest.test_case "wire: validate accepts and rejects" `Quick test_wire_validate;
+        QCheck_alcotest.to_alcotest prop_uid_set_oracle;
       ] );
     ( "gcs.adversarial",
       [

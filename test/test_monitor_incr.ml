@@ -61,7 +61,7 @@ type op =
   | Link of int * int * bool
   | Heal
   | Propagate of int * int * bool  (* session, emitter, drop acked history *)
-  | Propagate_set of int * int * Haf_core.Seqset.t  (* session, emitter, applied *)
+  | Propagate_set of int * int * Haf_sim.Seqset.t  (* session, emitter, applied *)
   | View_note of int * int  (* server, session idx (-> its content unit) *)
   | Pump
 

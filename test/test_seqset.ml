@@ -6,7 +6,7 @@
    run on both; after every step [mem], [elements] and [diff] must agree
    with the oracle and every result must be canonical. *)
 
-module Seqset = Haf_core.Seqset
+module Seqset = Haf_sim.Seqset
 module Unit_db = Haf_core.Unit_db
 module Fw = Haf_core.Framework.Make (Haf_services.Synthetic)
 

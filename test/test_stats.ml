@@ -113,8 +113,8 @@ let prop at server applied_seqs =
          req_seq = List.fold_left Int.max 0 applied_seqs;
          applied =
            List.fold_left
-             (fun s seq -> Haf_core.Seqset.add seq s)
-             Haf_core.Seqset.empty applied_seqs;
+             (fun s seq -> Haf_sim.Seqset.add seq s)
+             Haf_sim.Seqset.empty applied_seqs;
        })
 
 let takeover at server kind ~from ~live =
