@@ -16,11 +16,11 @@
 module Engine = Haf_sim.Engine
 module Rng = Haf_sim.Rng
 module Trace = Haf_sim.Trace
-module Det_tbl = Haf_sim.Det_tbl
 module Seqset = Haf_sim.Seqset
 module Gcs = Haf_gcs.Gcs
 module View = Haf_gcs.View
 module Daemon = Haf_gcs.Daemon
+module Smap = Map.Make (String)
 
 (* Test-only fault reintroduction (PR 3's bug 6): when set, End_session
    physically deletes the unit-db record instead of tombstoning it, so a
@@ -175,8 +175,8 @@ module Make (S : Service_intf.SERVICE) = struct
       policy : Policy.t;
       events : Events.sink;
       catalog : string list;
-      units : (string, ustate) Hashtbl.t;
-      sessions : (string, slocal) Hashtbl.t;
+      mutable units : ustate Smap.t;
+      mutable sessions : slocal Smap.t;
       group_refs : (string, int) Hashtbl.t;
           (* Session group -> how many local sessions hold a role in it
              (always 1 for a per-session group).  The daemon joins on
@@ -241,7 +241,7 @@ module Make (S : Service_intf.SERVICE) = struct
     let[@hot] drop_session t sl =
       let held = match sl.sl_role with Some _ -> true | None -> false in
       sl.sl_role <- None;
-      Hashtbl.remove t.sessions sl.sl_session;
+      t.sessions <- Smap.remove sl.sl_session t.sessions;
       if held then
         let g = session_group t sl.sl_session in
         match Hashtbl.find_opt t.group_refs g with
@@ -296,11 +296,11 @@ module Make (S : Service_intf.SERVICE) = struct
       }
 
     let local_of t sess =
-      match Hashtbl.find_opt t.sessions sess.Unit_db.session_id with
+      match Smap.find_opt sess.Unit_db.session_id t.sessions with
       | Some sl -> sl
       | None ->
           let sl = fresh_local sess in
-          Hashtbl.replace t.sessions sess.Unit_db.session_id sl;
+          t.sessions <- Smap.add sess.Unit_db.session_id sl t.sessions;
           sl
 
     (* -------------------------------------------------------------- *)
@@ -385,14 +385,17 @@ module Make (S : Service_intf.SERVICE) = struct
        hot one.) *)
     let do_propagate_all t =
       if t.running then begin
-        let by_unit = Hashtbl.create 4 in
-        Det_tbl.iter_sorted ~compare:String.compare
-          (fun _ sl ->
-            if sl.sl_role = Some Primary then
-              Hashtbl.replace by_unit sl.sl_unit
-                (sl :: Option.value (Hashtbl.find_opt by_unit sl.sl_unit) ~default:[]))
-          t.sessions;
-        Det_tbl.iter_sorted ~compare:String.compare
+        let by_unit =
+          Smap.fold
+            (fun _ sl acc ->
+              if sl.sl_role = Some Primary then
+                Smap.add sl.sl_unit
+                  (sl :: Option.value (Smap.find_opt sl.sl_unit acc) ~default:[])
+                  acc
+              else acc)
+            t.sessions Smap.empty
+        in
+        Smap.iter
           (fun u sls ->
             if not (Engine.choice t.engine ~site:"propagate" ~proc:t.proc) then begin
               (* [sls] was consed from a sorted sweep, so this restores
@@ -558,14 +561,14 @@ module Make (S : Service_intf.SERVICE) = struct
             else None
           in
           let current =
-            Option.bind (Hashtbl.find_opt t.sessions a.Selection.a_session_id)
+            Option.bind (Smap.find_opt a.Selection.a_session_id t.sessions)
               (fun sl -> sl.sl_role)
           in
           (match (current, target) with
           | _, Some Primary -> become_primary t us sess ~prev_primary
           | _, Some Backup -> become_backup t sess
           | Some _, None -> (
-              match Hashtbl.find_opt t.sessions a.Selection.a_session_id with
+              match Smap.find_opt a.Selection.a_session_id t.sessions with
               | Some sl -> relinquish t sl ~new_primary:(Some a.Selection.a_primary)
               | None -> ())
           | None, None -> ())
@@ -687,7 +690,7 @@ module Make (S : Service_intf.SERVICE) = struct
           else None
 
     let units_sound t =
-      Det_tbl.fold_sorted ~compare:String.compare
+      Smap.fold
         (fun _ us acc -> acc && unit_verdict us = None)
         t.units true
 
@@ -701,7 +704,7 @@ module Make (S : Service_intf.SERVICE) = struct
     let reset_unit t us =
       emit t (Events.Server_reset { server = t.proc; subsystem = "unit-db:" ^ us.u_id });
       let locals =
-        Det_tbl.fold_sorted ~compare:String.compare
+        Smap.fold
           (fun _ sl acc -> if sl.sl_unit = us.u_id then sl :: acc else acc)
           t.sessions []
       in
@@ -724,7 +727,7 @@ module Make (S : Service_intf.SERVICE) = struct
 
     let audit_units t =
       if !Haf_gcs.Audit.enabled then
-        Det_tbl.iter_sorted ~compare:String.compare
+        Smap.iter
           (fun _ us ->
             match unit_verdict us with
             | None -> ()
@@ -742,10 +745,9 @@ module Make (S : Service_intf.SERVICE) = struct
        tick, so detection lands one period later, never instantly. *)
     let corrupt_record_tick t =
       if Engine.corruption t.engine ~site:"corrupt.record" ~proc:t.proc then
-        match Det_tbl.sorted_keys ~compare:String.compare t.units with
-        | [] -> ()
-        | u :: _ -> (
-            let us = Hashtbl.find t.units u in
+        match Smap.min_binding_opt t.units with
+        | None -> ()
+        | Some (_, us) -> (
             match Unit_db.sessions us.u_db with
             | [] -> ()
             | s :: _ ->
@@ -794,7 +796,7 @@ module Make (S : Service_intf.SERVICE) = struct
       (* A backup folds the propagation into its live context: take
          the primary's context and replay the requests it has seen
          that the snapshot predates. *)
-      match Hashtbl.find_opt t.sessions session_id with
+      match Smap.find_opt session_id t.sessions with
       | Some { sl_role = Some Backup; _ } when sender = t.proc -> ()
       | Some ({ sl_role = Some Backup; _ } as sl) ->
           sl.sl_ctx <-
@@ -825,7 +827,7 @@ module Make (S : Service_intf.SERVICE) = struct
             snaps;
           refresh_checksum us
       | End_session { session_id } ->
-          (match Hashtbl.find_opt t.sessions session_id with
+          (match Smap.find_opt session_id t.sessions with
           | Some sl ->
               if sl.sl_role = Some Primary then
                 emit t (Events.Session_ended { session_id });
@@ -939,7 +941,7 @@ module Make (S : Service_intf.SERVICE) = struct
       List.iter
         (fun (sess : S.context Unit_db.session) ->
           if sess.Unit_db.ended then
-            match Hashtbl.find_opt t.sessions sess.Unit_db.session_id with
+            match Smap.find_opt sess.Unit_db.session_id t.sessions with
             | Some sl -> relinquish t sl ~new_primary:None
             | None -> ())
         (Unit_db.sessions us.u_db);
@@ -1144,7 +1146,7 @@ module Make (S : Service_intf.SERVICE) = struct
     (* Session-group and service-group messages                        *)
 
     let on_request t ~session_id ~seq ~body =
-      match Hashtbl.find_opt t.sessions session_id with
+      match Smap.find_opt session_id t.sessions with
       | Some sl when sl.sl_role <> None ->
           if not (Seqset.mem seq sl.sl_applied) then begin
             sl.sl_applied <- Seqset.add seq sl.sl_applied;
@@ -1178,7 +1180,7 @@ module Make (S : Service_intf.SERVICE) = struct
         else
           match Naming.content_unit_of g with
           | Some u -> (
-              match Hashtbl.find_opt t.units u with
+              match Smap.find_opt u t.units with
               | Some us -> on_content_view t us view
               | None -> ())
           | None -> ()  (* session groups need no view handling *)
@@ -1191,7 +1193,7 @@ module Make (S : Service_intf.SERVICE) = struct
         else
           match Naming.content_unit_of group with
           | Some u -> (
-              match Hashtbl.find_opt t.units u with
+              match Smap.find_opt u t.units with
               | Some us -> on_content_msg t us ~sender msg
               | None -> ())
           | None -> (
@@ -1210,7 +1212,7 @@ module Make (S : Service_intf.SERVICE) = struct
       if t.running then
         match decode_p2p payload with
         | Handoff { session_id; ctx; req_seq; applied; at } -> (
-            match Hashtbl.find_opt t.sessions session_id with
+            match Smap.find_opt session_id t.sessions with
             | Some sl when sl.sl_role = Some Primary ->
                 sl.sl_ctx <- reapply_requests sl ~above:req_seq ctx;
                 sl.sl_base_at <- at;
@@ -1227,7 +1229,7 @@ module Make (S : Service_intf.SERVICE) = struct
        durable write. *)
     let replay_recovery t (r : Haf_store.Store.recovery) =
       let with_unit unit_id f =
-        match Hashtbl.find_opt t.units unit_id with
+        match Smap.find_opt unit_id t.units with
         | Some us -> f us
         | None -> ()
       in
@@ -1254,7 +1256,7 @@ module Make (S : Service_intf.SERVICE) = struct
           | P_merge { unit_id; records } ->
               with_unit unit_id (fun us -> Unit_db.merge_records us.u_db records))
         r.Haf_store.Store.rec_wal;
-      Det_tbl.iter_sorted ~compare:String.compare
+      Smap.iter
         (fun _ us -> refresh_checksum us)
         t.units
 
@@ -1272,7 +1274,7 @@ module Make (S : Service_intf.SERVICE) = struct
             if t.running then begin
               let blob =
                 encode_snapshot
-                  (Det_tbl.fold_sorted ~compare:String.compare
+                  (Smap.fold
                      (fun u us acc -> (u, Unit_db.export us.u_db) :: acc)
                      t.units []
                   |> List.rev)
@@ -1294,8 +1296,8 @@ module Make (S : Service_intf.SERVICE) = struct
           policy;
           events;
           catalog;
-          units = Hashtbl.create 4;
-          sessions = Hashtbl.create 16;
+          units = Smap.empty;
+          sessions = Smap.empty;
           group_refs = Hashtbl.create 8;
           store;
           store_timers = [];
@@ -1308,16 +1310,18 @@ module Make (S : Service_intf.SERVICE) = struct
       List.iter
         (fun u ->
           let db = Unit_db.create ~unit_id:u () in
-          Hashtbl.replace t.units u
-            {
-              u_id = u;
-              u_db = db;
-              u_checksum = Unit_db.checksum db;
-              u_view = None;
-              u_exchange = None;
-              u_recovering = false;
-              u_loads = None;
-            })
+          t.units <-
+            Smap.add u
+              {
+                u_id = u;
+                u_db = db;
+                u_checksum = Unit_db.checksum db;
+                u_view = None;
+                u_exchange = None;
+                u_recovering = false;
+                u_loads = None;
+              }
+              t.units)
         units;
       (match store with
       | None -> ()
@@ -1325,7 +1329,7 @@ module Make (S : Service_intf.SERVICE) = struct
           let r = Haf_store.Store.recover st in
           replay_recovery t r;
           let sessions =
-            Det_tbl.fold_sorted ~compare:String.compare
+            Smap.fold
               (fun _ us acc -> acc + Unit_db.size us.u_db)
               t.units 0
           in
@@ -1345,7 +1349,7 @@ module Make (S : Service_intf.SERVICE) = struct
                    snapshot_lost = r.rec_snapshot_lost;
                  });
           if sessions > 0 then begin
-            Det_tbl.iter_sorted ~compare:String.compare
+            Smap.iter
               (fun _ us -> if Unit_db.size us.u_db > 0 then us.u_recovering <- true)
               t.units;
             (* Hold the recovered state back from self-assignment until a
@@ -1359,7 +1363,7 @@ module Make (S : Service_intf.SERVICE) = struct
             ignore
               (Engine.schedule t.engine ~delay:grace (fun () ->
                    if t.running then
-                     Det_tbl.iter_sorted ~compare:String.compare
+                     Smap.iter
                        (fun _ us ->
                          if us.u_recovering && us.u_exchange = None then begin
                            us.u_recovering <- false;
@@ -1416,33 +1420,33 @@ module Make (S : Service_intf.SERVICE) = struct
       t.audit_timer <- None;
       (match t.prop_timer with Some tm -> Engine.cancel tm | None -> ());
       t.prop_timer <- None;
-      Det_tbl.iter_sorted ~compare:String.compare
+      Smap.iter
         (fun _ sl -> stop_timers sl)
         t.sessions
 
-    let units t = Det_tbl.sorted_keys ~compare:String.compare t.units
+    let units t = List.map fst (Smap.bindings t.units)
 
-    let db t u = Option.map (fun us -> us.u_db) (Hashtbl.find_opt t.units u)
+    let db t u = Option.map (fun us -> us.u_db) (Smap.find_opt u t.units)
 
     let sessions_served t =
-      Det_tbl.fold_sorted ~compare:String.compare
+      Smap.fold
         (fun sid sl acc ->
           match sl.sl_role with Some r -> (sid, r) :: acc | None -> acc)
         t.sessions []
       |> List.rev
 
     let is_primary_of t sid =
-      match Hashtbl.find_opt t.sessions sid with
+      match Smap.find_opt sid t.sessions with
       | Some sl -> sl.sl_role = Some Primary
       | None -> false
 
     let unit_view t u =
-      match Hashtbl.find_opt t.units u with
+      match Smap.find_opt u t.units with
       | Some us -> Option.map (fun v -> v.View.id) us.u_view
       | None -> None
 
     let unit_settled t u =
-      match Hashtbl.find_opt t.units u with
+      match Smap.find_opt u t.units with
       | Some us -> us.u_exchange = None && not us.u_recovering
       | None -> false
   end
@@ -1478,7 +1482,7 @@ module Make (S : Service_intf.SERVICE) = struct
              counters still see every delivery) — at 10^6 sessions the
              retained (id, time) cells are the largest client-side
              allocation, and nothing on the bench path reads them. *)
-      sessions : (string, csession) Hashtbl.t;
+      mutable sessions : csession Smap.t;
       mutable serial : int;
       mutable on_units : (string list -> unit) option;
       mutable running : bool;
@@ -1495,7 +1499,7 @@ module Make (S : Service_intf.SERVICE) = struct
           rng = Engine.fork_rng engine;
           policy;
           retain_responses;
-          sessions = Hashtbl.create 4;
+          sessions = Smap.empty;
           serial = 0;
           on_units = None;
           running = true;
@@ -1511,7 +1515,7 @@ module Make (S : Service_intf.SERVICE) = struct
                   k units
               | None -> ())
           | Granted { session_id; unit_id = _; primary } -> (
-              match Hashtbl.find_opt t.sessions session_id with
+              match Smap.find_opt session_id t.sessions with
               | Some cs when not cs.c_granted ->
                   cs.c_granted <- true;
                   (match cs.c_grant_timer with
@@ -1522,7 +1526,7 @@ module Make (S : Service_intf.SERVICE) = struct
                     (Events.Session_granted { client = t.proc; session_id; primary })
               | Some _ | None -> ())
           | Response { session_id; id; body } -> (
-              match Hashtbl.find_opt t.sessions session_id with
+              match Smap.find_opt session_id t.sessions with
               | Some cs when not cs.c_done ->
                   if t.retain_responses then
                     cs.c_received <- (id, Engine.now engine) :: cs.c_received;
@@ -1604,7 +1608,7 @@ module Make (S : Service_intf.SERVICE) = struct
           c_done = false;
         }
       in
-      Hashtbl.replace t.sessions session_id cs;
+      t.sessions <- Smap.add session_id cs t.sessions;
       Events.emit t.events ~now:(now t)
         (Events.Session_requested { client = t.proc; session_id; unit_id });
       let ask () =
@@ -1659,7 +1663,7 @@ module Make (S : Service_intf.SERVICE) = struct
 
     let stop t =
       t.running <- false;
-      Det_tbl.iter_sorted ~compare:String.compare
+      Smap.iter
         (fun _ cs ->
           (match cs.c_req_timer with Some tm -> Engine.cancel tm | None -> ());
           (match cs.c_grant_timer with Some tm -> Engine.cancel tm | None -> ());
@@ -1668,20 +1672,20 @@ module Make (S : Service_intf.SERVICE) = struct
         t.sessions
 
     let received t session_id =
-      match Hashtbl.find_opt t.sessions session_id with
+      match Smap.find_opt session_id t.sessions with
       | Some cs -> List.rev cs.c_received
       | None -> []
 
     let received_count t session_id =
-      match Hashtbl.find_opt t.sessions session_id with
+      match Smap.find_opt session_id t.sessions with
       | Some cs -> cs.c_n_received
       | None -> 0
 
     let granted t session_id =
-      match Hashtbl.find_opt t.sessions session_id with
+      match Smap.find_opt session_id t.sessions with
       | Some cs -> cs.c_granted
       | None -> false
 
-    let session_ids t = Det_tbl.sorted_keys ~compare:String.compare t.sessions
+    let session_ids t = List.map fst (Smap.bindings t.sessions)
   end
 end

@@ -326,9 +326,12 @@ let fault_table ~quick =
           let rs = recoveries tl in
           let count f = List.length (List.filter f rs) in
           let fsync_failures =
-            Haf_sim.Det_tbl.fold_sorted ~compare:Int.compare
-              (fun _ st a -> a + (Store.stats st).Store.s_fsync_failures)
-              w.R.stores 0
+            List.fold_left
+              (fun a (p, _) ->
+                match R.store_of w p with
+                | Some st -> a + (Store.stats st).Store.s_fsync_failures
+                | None -> a)
+              0 w.R.servers
           in
           ( recs + List.length rs,
             torn + count (fun r -> r.rv_torn),

@@ -12,9 +12,17 @@ module Events = Haf_core.Events
 
 type phase = Requested | Active | Ended
 
+(* (server, subsystem), ordered by server, then subsystem. *)
+module Conviction_map = Map.Make (struct
+  type t = int * string
+
+  let compare (s1, g1) (s2, g2) =
+    match Int.compare s1 s2 with 0 -> String.compare g1 g2 | c -> c
+end)
+
 type t = {
   sessions : (string, phase) Hashtbl.t;
-  convicted : (int * string, int) Hashtbl.t;
+  mutable convicted : int Conviction_map.t;
       (* (server, subsystem) -> audit convictions not yet answered by a
          reset.  The reset-and-rejoin lifecycle: a component may only
          reset after its own audit convicted it, one reset per
@@ -26,7 +34,7 @@ type t = {
 let create () =
   {
     sessions = Hashtbl.create 16;
-    convicted = Hashtbl.create 8;
+    convicted = Conviction_map.empty;
     violations_rev = [];
   }
 
@@ -86,11 +94,14 @@ let on_event t ~now (ev : Events.t) =
       | Some _ | None -> ())
   | Events.Audit_failed { server; subsystem; _ } ->
       let key = (server, subsystem) in
-      Hashtbl.replace t.convicted key
-        (1 + Option.value (Hashtbl.find_opt t.convicted key) ~default:0)
+      t.convicted <-
+        Conviction_map.add key
+          (1 + Option.value (Conviction_map.find_opt key t.convicted) ~default:0)
+          t.convicted
   | Events.Server_reset { server; subsystem } -> (
-      match Hashtbl.find_opt t.convicted (server, subsystem) with
-      | Some n when n > 0 -> Hashtbl.replace t.convicted (server, subsystem) (n - 1)
+      let key = (server, subsystem) in
+      match Conviction_map.find_opt key t.convicted with
+      | Some n when n > 0 -> t.convicted <- Conviction_map.add key (n - 1) t.convicted
       | Some _ | None ->
           flag t ~now
             "spec: s%d reset %s without a preceding audit conviction" server
@@ -98,13 +109,8 @@ let on_event t ~now (ev : Events.t) =
   | Events.Server_crashed { server } ->
       (* A crash wipes the component's in-memory state, pending audit
          convictions included; its next life starts unconvicted. *)
-      let compare_conviction (s1, g1) (s2, g2) =
-        match Int.compare s1 s2 with 0 -> String.compare g1 g2 | c -> c
-      in
-      List.iter
-        (fun ((s, _) as key) ->
-          if s = server then Hashtbl.replace t.convicted key 0)
-        (Haf_sim.Det_tbl.sorted_keys ~compare:compare_conviction t.convicted)
+      t.convicted <-
+        Conviction_map.mapi (fun (s, _) n -> if s = server then 0 else n) t.convicted
   | Events.Request_sent _ | Events.Request_applied _ | Events.Response_sent _
   | Events.Response_received _
   | Events.Role_assumed _ (* Backup roles carry no post-End obligation:

@@ -1,11 +1,31 @@
 module Engine = Haf_sim.Engine
 module Trace = Haf_sim.Trace
-module Det_tbl = Haf_sim.Det_tbl
 module Seqset = Haf_sim.Seqset
 module Transport = Haf_net.Transport
 module Fd = Failure_detector
 
 type proc = int
+
+(* Every table the daemon iterates is an ordered map, so each traversal
+   visits it in key order, and a traversal made while a callback changes
+   the table walks the map as it was when the traversal began. *)
+module Imap = Map.Make (Int)
+module Smap = Map.Make (String)
+module Vid_map = Map.Make (View.Id)
+
+module Uid_map = Map.Make (struct
+  type t = Wire.uid
+
+  let compare = Wire.compare_uid
+end)
+
+(* (group, peer), ordered by group, then peer. *)
+module Gp_map = Map.Make (struct
+  type t = string * proc
+
+  let compare (g1, p1) (g2, p2) =
+    match String.compare g1 g2 with 0 -> Int.compare p1 p2 | c -> c
+end)
 
 type callbacks = {
   on_view : View.t -> unit;
@@ -25,7 +45,7 @@ type mstate =
   | Proposing of {
       epoch : int;
       candidates : proc list;
-      replies : (proc, Wire.flush_info) Hashtbl.t;
+      mutable replies : Wire.flush_info Imap.t;
       started : float;
     }
   | Flushed of { epoch : int; coord : proc; since : float }
@@ -33,7 +53,7 @@ type mstate =
 type gstate = {
   group : string;
   mutable view : View.t;
-  log : (int, Wire.entry) Hashtbl.t;
+  mutable log : Wire.entry Imap.t;
       (* seq -> entry, current view only, from [log_floor] up: the
          entries below it every member of the view has delivered. *)
   mutable log_floor : int;
@@ -52,7 +72,7 @@ type gstate = {
          sequencer that never saw the uid); the duplicate is dropped at
          the delivery boundary. *)
   mutable outstanding : (Wire.uid * string) list;  (* newest first *)
-  relayed : (Wire.uid, Wire.entry) Hashtbl.t;
+  mutable relayed : Wire.entry Uid_map.t;
       (* Entries this member forwarded to the sequencer on behalf of a
          non-member (or a stale-view member): held until seen in the log,
          resubmitted after view changes — otherwise a request forwarded
@@ -77,9 +97,9 @@ type t = {
   mutable is_alive : bool;
   mutable callbacks : callbacks;
   fd : Fd.t;
-  gstates : (string, gstate) Hashtbl.t;
-  adverts : (proc, Wire.advert list) Hashtbl.t;
-  vid_mismatch : (string * proc, float) Hashtbl.t;
+  mutable gstates : gstate Smap.t;
+  mutable adverts : Adverts.t;
+  mutable vid_mismatch : float Gp_map.t;
       (* (group, peer) -> since: the peer advertises a different view id
          for a group we are in.  Persistent mismatch (it survives a few
          heartbeats) means a missed merge — e.g. the peer restarted
@@ -131,9 +151,9 @@ let create ~engine ~transport ~config ~trace ?heartbeat_interval ?incarnation
     is_alive = false;
     callbacks = no_callbacks;
     fd = Fd.create ~me ~suspect_timeout:config.Config.suspect_timeout;
-    gstates = Hashtbl.create 8;
-    adverts = Hashtbl.create 16;
-    vid_mismatch = Hashtbl.create 16;
+    gstates = Smap.empty;
+    adverts = Adverts.empty;
+    vid_mismatch = Gp_map.empty;
     contacts = List.filter (fun p -> p <> me) contacts;
     incarnation;
     serials = Hashtbl.create 8;
@@ -154,12 +174,8 @@ let send_reliable t dst msg = Transport.send t.transport ~src:t.me ~dst (Wire.en
 
 let send_raw t dst payload = Transport.send_unreliable t.transport ~src:t.me ~dst payload
 
-(* The (group, peer) keys of [vid_mismatch], ordered. *)
-let compare_gp (g1, p1) (g2, p2) =
-  match String.compare g1 g2 with 0 -> Int.compare p1 p2 | c -> c
-
 let my_adverts t =
-  Det_tbl.fold_sorted ~compare:String.compare
+  Smap.fold
     (fun g gs acc ->
       { Wire.adv_group = g; adv_vid = gs.view.View.id; adv_delivered = gs.delivered_up_to }
       :: acc)
@@ -173,16 +189,10 @@ let fresh_uid t group =
 (* ------------------------------------------------------------------ *)
 (* Beliefs                                                             *)
 
-let advertisers t group =
-  Det_tbl.fold_sorted ~compare:Int.compare
-    (fun p advs acc ->
-      if List.exists (fun a -> String.equal a.Wire.adv_group group) advs then p :: acc
-      else acc)
-    t.adverts []
-  |> List.rev
+let advertisers t group = Adverts.advertisers group t.adverts
 
 let believed_members t group =
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | Some gs -> gs.view.View.members
   | None -> advertisers t group
 
@@ -192,12 +202,12 @@ let monitor_peer t p = Fd.monitor t.fd p ~now:(now t)
 
 let suspects t = Fd.suspects t.fd
 
-let groups t = Det_tbl.sorted_keys ~compare:String.compare t.gstates
+let groups t = List.map fst (Smap.bindings t.gstates)
 
-let is_member t group = Hashtbl.mem t.gstates group
+let is_member t group = Smap.mem group t.gstates
 
 let view_of t group =
-  Option.map (fun gs -> gs.view) (Hashtbl.find_opt t.gstates group)
+  Option.map (fun gs -> gs.view) (Smap.find_opt group t.gstates)
 
 let stats_view_changes t = t.view_changes
 
@@ -219,11 +229,11 @@ let history t group =
   Option.map
     (fun gs ->
       {
-        log_seqs = Det_tbl.sorted_keys ~compare:Int.compare gs.log;
+        log_seqs = List.map fst (Imap.bindings gs.log);
         seen = Uid_set.ranges gs.seen_uids;
         delivered = Uid_set.ranges gs.delivered_uids;
       })
-    (Hashtbl.find_opt t.gstates group)
+    (Smap.find_opt group t.gstates)
 
 (* ------------------------------------------------------------------ *)
 (* Delivery                                                            *)
@@ -240,7 +250,7 @@ let rec drop_outstanding (uid : Wire.uid) l =
 
 let[@hot] note_logged t gs (entry : Wire.entry) =
   Uid_set.add gs.seen_uids entry.uid;
-  Hashtbl.remove gs.relayed entry.uid;
+  gs.relayed <- Uid_map.remove entry.uid gs.relayed;
   if Int.equal entry.uid.origin t.me then
     gs.outstanding <- drop_outstanding entry.uid gs.outstanding
 
@@ -253,7 +263,7 @@ let[@hot] deliver t gs (entry : Wire.entry) =
 let[@hot] deliver_contiguous t gs =
   let continue = ref true in
   while !continue do
-    match Hashtbl.find_opt gs.log (gs.delivered_up_to + 1) with
+    match Imap.find_opt (gs.delivered_up_to + 1) gs.log with
     | Some entry ->
         gs.delivered_up_to <- gs.delivered_up_to + 1;
         deliver t gs entry
@@ -262,16 +272,16 @@ let[@hot] deliver_contiguous t gs =
 
 (* Start a view's log afresh: on install and on reset. *)
 let clear_log gs =
-  Hashtbl.reset gs.log;
+  gs.log <- Imap.empty;
   gs.log_floor <- 1;
   Hashtbl.reset gs.reported;
   gs.delivered_up_to <- 0
 
 (* Store a received entry, unless a copy is held or was already trimmed
    as delivered everywhere. *)
-let[@hot] log_entry gs seq entry =
-  if seq >= gs.log_floor && not (Hashtbl.mem gs.log seq) then
-    Hashtbl.replace gs.log seq entry
+let[@hot] log_entry gs (seq : int) entry =
+  if seq >= gs.log_floor && not (Imap.mem seq gs.log) then
+    gs.log <- Imap.add seq entry gs.log
 
 (* ------------------------------------------------------------------ *)
 (* Stability: trimming the view log                                    *)
@@ -300,7 +310,7 @@ let[@hot] trim_log t gs =
       let own = gs.delivered_up_to in
       let stable = reported_min gs t.me own own gs.view.View.members in
       while gs.log_floor < stable do
-        Hashtbl.remove gs.log gs.log_floor;
+        gs.log <- Imap.remove gs.log_floor gs.log;
         gs.log_floor <- gs.log_floor + 1
       done
   | Proposing _ | Flushed _ -> ()
@@ -316,7 +326,7 @@ let[@hot] assign_seq t gs (entry : Wire.entry) =
   else begin
     let seq = gs.next_seq in
     gs.next_seq <- seq + 1;
-    Hashtbl.replace gs.log seq entry;
+    gs.log <- Imap.add seq entry gs.log;
     note_logged t gs entry;
     Some (seq, entry)
   end
@@ -370,10 +380,7 @@ let prof_batch = Haf_sim.Profile.slot "gcs.batch"
 let prof_heartbeat = Haf_sim.Profile.slot "gcs.heartbeat"
 
 let batch_tick_body t =
-  if t.is_alive then
-    Det_tbl.iter_sorted ~compare:String.compare
-      (fun _ gs -> flush_batch t gs)
-      t.gstates
+  if t.is_alive then Smap.iter (fun _ gs -> flush_batch t gs) t.gstates
 
 let batch_tick t =
   if Haf_sim.Profile.hit prof_batch then begin
@@ -410,31 +417,26 @@ let flush_info_of t gs =
     Wire.fi_sender = t.me;
     fi_member = true;
     fi_prev_vid = gs.view.View.id;
-    fi_log = Det_tbl.sorted_bindings ~compare:Int.compare gs.log;
+    fi_log = Imap.bindings gs.log;
   }
 
 let merge_sync_sets replies =
   (* Group the repliers' logs by previous view id and take unions. *)
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun (info : Wire.flush_info) ->
-      if info.fi_member then begin
-        let key = info.fi_prev_vid in
-        let log =
-          match Hashtbl.find_opt tbl key with
-          | Some l -> l
-          | None ->
-              let l = Hashtbl.create 16 in
-              Hashtbl.replace tbl key l;
-              l
-        in
-        List.iter (fun (seq, entry) -> Hashtbl.replace log seq entry) info.fi_log
-      end)
-    replies;
-  Det_tbl.fold_sorted ~compare:View.Id.compare
-    (fun vid log acc ->
-      (vid, Det_tbl.sorted_bindings ~compare:Int.compare log) :: acc)
-    tbl []
+  let by_vid =
+    List.fold_left
+      (fun acc (info : Wire.flush_info) ->
+        if info.fi_member then
+          let log = Option.value (Vid_map.find_opt info.fi_prev_vid acc) ~default:Imap.empty in
+          Vid_map.add info.fi_prev_vid
+            (List.fold_left (fun log (seq, entry) -> Imap.add seq entry log) log info.fi_log)
+            acc
+        else acc)
+      Vid_map.empty replies
+  in
+  Vid_map.fold (fun vid log acc -> (vid, Imap.bindings log) :: acc) by_vid []
+
+let drop_vid_mismatches t group =
+  t.vid_mismatch <- Gp_map.filter (fun (g, _) _ -> not (String.equal g group)) t.vid_mismatch
 
 let rec apply_install t gs ~epoch ~view_id ~members ~sync =
   (* Risky-pattern choice point (paper §4): a member may crash at the
@@ -463,12 +465,7 @@ let rec apply_install t gs ~epoch ~view_id ~members ~sync =
   gs.mstate <- Stable;
   gs.max_epoch <- Int.max gs.max_epoch epoch;
   gs.left <- [];
-  let stale_keys =
-    Det_tbl.fold_sorted ~compare:compare_gp
-      (fun ((g, _) as k) _ acc -> if String.equal g gs.group then k :: acc else acc)
-      t.vid_mismatch []
-  in
-  List.iter (Hashtbl.remove t.vid_mismatch) stale_keys;
+  drop_vid_mismatches t gs.group;
   t.view_changes <- t.view_changes + 1;
   List.iter (fun m -> monitor_peer t m) members;
   tr t "installed %a" View.pp view;
@@ -482,16 +479,15 @@ let rec apply_install t gs ~epoch ~view_id ~members ~sync =
   let opens = List.rev gs.pending_open in
   gs.pending_open <- [];
   List.iter (fun entry -> submit t gs entry) opens;
-  let relayed = Det_tbl.sorted_values ~compare:Wire.compare_uid gs.relayed in
-  List.iter (fun entry -> submit t gs entry) relayed
+  Uid_map.iter (fun _ entry -> submit t gs entry) gs.relayed
   end
 
 and finalize_proposal t gs ~epoch ~candidates ~replies =
-  let infos = Det_tbl.sorted_values ~compare:Int.compare replies in
+  let infos = List.map snd (Imap.bindings replies) in
   let members =
     List.filter
       (fun c ->
-        match Hashtbl.find_opt replies c with
+        match Imap.find_opt c replies with
         | Some info -> info.Wire.fi_member
         | None -> false)
       candidates
@@ -509,7 +505,7 @@ and finalize_proposal t gs ~epoch ~candidates ~replies =
 and check_finalize t gs =
   match gs.mstate with
   | Proposing { epoch; candidates; replies; _ } ->
-      if List.for_all (fun c -> Hashtbl.mem replies c) candidates then
+      if List.for_all (fun c -> Imap.mem c replies) candidates then
         finalize_proposal t gs ~epoch ~candidates ~replies
   | Stable | Flushed _ -> ()
 
@@ -517,8 +513,7 @@ and propose t gs =
   let candidates = candidates_for t gs in
   let epoch = Int.max gs.max_epoch gs.view.View.id.View.Id.epoch + 1 in
   gs.max_epoch <- epoch;
-  let replies = Hashtbl.create 8 in
-  Hashtbl.replace replies t.me (flush_info_of t gs);
+  let replies = Imap.singleton t.me (flush_info_of t gs) in
   gs.mstate <- Proposing { epoch; candidates; replies; started = now t };
   tr t "propose %s e%d cands=[%s]" gs.group epoch
     (String.concat "," (List.map string_of_int candidates));
@@ -534,7 +529,7 @@ and propose t gs =
 let stale_vid_mismatch t gs =
   let threshold = 2.5 *. t.hb_interval in
   let cands = candidates_for t gs in
-  Det_tbl.exists_sorted ~compare:compare_gp
+  Gp_map.exists
     (fun (g, q) since ->
       String.equal g gs.group && List.mem q cands && now t -. since > threshold)
     t.vid_mismatch
@@ -557,7 +552,7 @@ let should_coordinate t gs =
   match eligible with leader :: _ -> leader = t.me | [] -> true
 
 let membership_stable t group =
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | None -> true
   | Some gs -> ( match gs.mstate with Stable -> not (membership_needed t gs) | _ -> false)
 
@@ -605,7 +600,7 @@ let group_verdict t gs =
         ~next_seq:gs.next_seq;
       Audit.check_clock ~group:gs.group ~delivered_up_to:gs.delivered_up_to
         ~log_holds_horizon:
-          (gs.delivered_up_to = 0 || Hashtbl.mem gs.log gs.delivered_up_to);
+          (gs.delivered_up_to = 0 || Imap.mem gs.delivered_up_to gs.log);
     ]
   in
   match List.find_opt (fun v -> not (Audit.is_sound v)) checks with
@@ -613,9 +608,7 @@ let group_verdict t gs =
   | None -> Audit.Sound
 
 let audit_ok t =
-  Det_tbl.fold_sorted ~compare:String.compare
-    (fun _ gs acc -> acc && Audit.is_sound (group_verdict t gs))
-    t.gstates true
+  Smap.for_all (fun _ gs -> Audit.is_sound (group_verdict t gs)) t.gstates
 
 (* Local reset-and-rejoin: throw away the group's poisoned view state
    and fall back to a fresh singleton, exactly as a joining process
@@ -633,12 +626,7 @@ let reset_group t gs =
   gs.max_epoch <- Int.max 0 gs.max_epoch;
   gs.seq_batch <- [];
   gs.left <- [];
-  let stale_keys =
-    Det_tbl.fold_sorted ~compare:compare_gp
-      (fun ((g, _) as k) _ acc -> if String.equal g gs.group then k :: acc else acc)
-      t.vid_mismatch []
-  in
-  List.iter (Hashtbl.remove t.vid_mismatch) stale_keys;
+  drop_vid_mismatches t gs.group;
   t.view_changes <- t.view_changes + 1;
   t.resets <- t.resets + 1
   (* No [on_view] callback: the transient singleton is not a membership
@@ -662,9 +650,7 @@ let audit_group t gs =
 
 (* Each tick, per group: the audit, then, on a sound group, trimming. *)
 let audit_all t =
-  Det_tbl.iter_sorted ~compare:String.compare
-    (fun _ gs -> if audit_group t gs then trim_log t gs)
-    t.gstates
+  Smap.iter (fun _ gs -> if audit_group t gs then trim_log t gs) t.gstates
 
 (* Chaos delivery point: each heartbeat tick asks the engine's corruptor
    whether an armed corruption should land here.  Always consulted in
@@ -673,11 +659,7 @@ let audit_all t =
    and mutates records directly — that is what "arbitrary transient
    state corruption" means. *)
 let corruption_tick t =
-  let first_gstate () =
-    match Det_tbl.sorted_keys ~compare:String.compare t.gstates with
-    | g :: _ -> Hashtbl.find_opt t.gstates g
-    | [] -> None
-  in
+  let first_gstate () = Option.map snd (Smap.min_binding_opt t.gstates) in
   if Engine.corruption t.engine ~site:"corrupt.view" ~proc:t.me then
     (match first_gstate () with
     | Some gs ->
@@ -706,31 +688,29 @@ let corruption_tick t =
 (* Heartbeats                                                          *)
 
 let record_adverts t sender advs =
-  Hashtbl.replace t.adverts sender advs;
+  t.adverts <- Adverts.record sender advs t.adverts;
   (* Hearing adverts implies direct reachability: monitor the peer so the
      failure detector can vouch for it as a membership candidate. *)
   monitor_peer t sender;
   Fd.heard_from t.fd sender ~now:(now t);
   if sender <> t.me then
-    Det_tbl.iter_sorted ~compare:String.compare
+    Smap.iter
       (fun g gs ->
-        match
-          List.find_opt (fun a -> String.equal a.Wire.adv_group g) advs
-        with
+        match Adverts.find sender g t.adverts with
         | Some a ->
             (* A peer we saw leave is advertising membership again: it
                rejoined; stop excluding it from candidate sets. *)
             if List.mem sender gs.left then
               gs.left <- List.filter (fun p -> p <> sender) gs.left;
             if not (View.Id.equal a.Wire.adv_vid gs.view.View.id) then begin
-              if not (Hashtbl.mem t.vid_mismatch (g, sender)) then
-                Hashtbl.replace t.vid_mismatch (g, sender) (now t)
+              if not (Gp_map.mem (g, sender) t.vid_mismatch) then
+                t.vid_mismatch <- Gp_map.add (g, sender) (now t) t.vid_mismatch
             end
             else begin
-              Hashtbl.remove t.vid_mismatch (g, sender);
+              t.vid_mismatch <- Gp_map.remove (g, sender) t.vid_mismatch;
               Hashtbl.replace gs.reported sender a.Wire.adv_delivered
             end
-        | None -> Hashtbl.remove t.vid_mismatch (g, sender))
+        | None -> t.vid_mismatch <- Gp_map.remove (g, sender) t.vid_mismatch)
       t.gstates
 
 let heartbeat_tick_body t =
@@ -744,9 +724,7 @@ let heartbeat_tick_body t =
     let ping = Wire.encode (Wire.Ping { adverts = my_adverts t }) in
     List.iter (fun p -> send_raw t p ping) (Fd.monitored t.fd);
     ignore (Fd.sweep t.fd ~now:(now t));
-    Det_tbl.iter_sorted ~compare:String.compare
-      (fun _ gs -> sweep_group t gs)
-      t.gstates
+    Smap.iter (fun _ gs -> sweep_group t gs) t.gstates
   end
 
 let heartbeat_tick t =
@@ -762,7 +740,7 @@ let heartbeat_tick t =
 
 let handle_propose t ~src ~group ~epoch ~candidates =
   ignore candidates;
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | None ->
       (* Not a member (stale advert or restart): tell the proposer so it
          can exclude us from the view. *)
@@ -791,18 +769,18 @@ let handle_propose t ~src ~group ~epoch ~candidates =
       end
 
 let handle_flush_reply t ~group ~epoch ~info =
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | None -> ()
   | Some gs -> (
       match gs.mstate with
-      | Proposing { epoch = e; candidates; replies; _ }
+      | Proposing ({ epoch = e; candidates; _ } as p)
         when e = epoch && List.mem info.Wire.fi_sender candidates ->
-          Hashtbl.replace replies info.Wire.fi_sender info;
+          p.replies <- Imap.add info.Wire.fi_sender info p.replies;
           check_finalize t gs
       | Proposing _ | Stable | Flushed _ -> ())
 
 let handle_nack t ~group ~epoch_hint =
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | None -> ()
   | Some gs -> (
       match gs.mstate with
@@ -817,7 +795,7 @@ let handle_nack t ~group ~epoch_hint =
           gs.max_epoch <- Int.max gs.max_epoch epoch_hint)
 
 let handle_install t ~group ~epoch ~view_id ~members ~sync =
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | None -> ()
   | Some gs -> (
       match gs.mstate with
@@ -825,24 +803,14 @@ let handle_install t ~group ~epoch ~view_id ~members ~sync =
           apply_install t gs ~epoch ~view_id ~members ~sync
       | Flushed _ | Stable | Proposing _ -> ())
 
-let handle_data t ~group ~vid ~seq ~entry =
-  match Hashtbl.find_opt t.gstates group with
+let handle_data_batch t ~group ~vid ~entries =
+  match Smap.find_opt group t.gstates with
   | None -> ()
   | Some gs ->
       (* On-receive audit: catch a corrupted delivery clock before it
          can stall or skip this view's total order.  [audit_group]
          resets the group on failure, after which [vid] no longer
          matches and the data is ignored like any other stale frame. *)
-      if audit_group t gs && View.Id.equal vid gs.view.View.id then begin
-        log_entry gs seq entry;
-        note_logged t gs entry;
-        match gs.mstate with Stable -> deliver_contiguous t gs | _ -> ()
-      end
-
-let handle_data_batch t ~group ~vid ~entries =
-  match Hashtbl.find_opt t.gstates group with
-  | None -> ()
-  | Some gs ->
       if audit_group t gs && View.Id.equal vid gs.view.View.id then begin
         List.iter
           (fun (seq, entry) ->
@@ -853,7 +821,7 @@ let handle_data_batch t ~group ~vid ~entries =
       end
 
 let handle_data_req t ~group ~entry =
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | None -> ()
   | Some gs -> (
       match gs.mstate with
@@ -862,14 +830,14 @@ let handle_data_req t ~group ~entry =
           if coord = t.me then sequence t gs entry
           else begin
             if not (Uid_set.mem gs.seen_uids entry.Wire.uid) then
-              Hashtbl.replace gs.relayed entry.Wire.uid entry;
+              gs.relayed <- Uid_map.add entry.Wire.uid entry gs.relayed;
             send_reliable t coord (Wire.Data_req { group; entry })
           end
       | Proposing _ | Flushed _ ->
           gs.pending_open <- entry :: gs.pending_open)
 
 let handle_open_send t ~group ~entry ~ttl =
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | Some _ -> handle_data_req t ~group ~entry
   | None ->
       if ttl > 0 then begin
@@ -881,15 +849,11 @@ let handle_open_send t ~group ~entry ~ttl =
       end
 
 let handle_leave t ~group ~who =
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | None -> ()
   | Some gs ->
       if not (List.mem who gs.left) then gs.left <- who :: gs.left;
-      (match Hashtbl.find_opt t.adverts who with
-      | Some advs ->
-          Hashtbl.replace t.adverts who
-            (List.filter (fun a -> not (String.equal a.Wire.adv_group group)) advs)
-      | None -> ());
+      t.adverts <- Adverts.forget who group t.adverts;
       sweep_group t gs
 
 (* Decode + validate an inbound payload.  A payload that does not decode
@@ -923,7 +887,7 @@ let on_reliable t ~src payload =
     | Some (Wire.Install { group; epoch; view_id; members; sync }) ->
         handle_install t ~group ~epoch ~view_id ~members ~sync
     | Some (Wire.Data { group; vid; seq; entry }) ->
-        handle_data t ~group ~vid ~seq ~entry
+        handle_data_batch t ~group ~vid ~entries:[ (seq, entry) ]
     | Some (Wire.Data_batch { group; vid; entries }) ->
         handle_data_batch t ~group ~vid ~entries
     | Some (Wire.Data_req { group; entry }) -> handle_data_req t ~group ~entry
@@ -977,12 +941,12 @@ let stop t =
   t.timers <- []
 
 let join t group =
-  if not (Hashtbl.mem t.gstates group) then begin
+  if not (Smap.mem group t.gstates) then begin
     let gs =
       {
         group;
         view = View.singleton ~group t.me;
-        log = Hashtbl.create 32;
+        log = Imap.empty;
         log_floor = 1;
         reported = Hashtbl.create 4;
         delivered_up_to = 0;
@@ -992,13 +956,13 @@ let join t group =
         seen_uids = Uid_set.create ();
         delivered_uids = Uid_set.create ();
         outstanding = [];
-        relayed = Hashtbl.create 16;
+        relayed = Uid_map.empty;
         pending_open = [];
         seq_batch = [];
         left = [];
       }
     in
-    Hashtbl.replace t.gstates group gs;
+    t.gstates <- Smap.add group gs t.gstates;
     t.view_changes <- t.view_changes + 1;
     t.callbacks.on_view gs.view;
     (* Announce immediately rather than waiting a heartbeat period. *)
@@ -1006,16 +970,16 @@ let join t group =
   end
 
 let leave t group =
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | None -> ()
   | Some gs ->
       List.iter
         (fun m -> if m <> t.me then send_reliable t m (Wire.Leave { group; who = t.me }))
         gs.view.View.members;
-      Hashtbl.remove t.gstates group
+      t.gstates <- Smap.remove group t.gstates
 
 let multicast t group payload =
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | None -> invalid_arg (Printf.sprintf "Daemon.multicast: %d not in %s" t.me group)
   | Some gs ->
       let uid = fresh_uid t group in
@@ -1023,7 +987,7 @@ let multicast t group payload =
       submit t gs { Wire.uid; orig = t.me; payload }
 
 let open_send t group payload =
-  match Hashtbl.find_opt t.gstates group with
+  match Smap.find_opt group t.gstates with
   | Some _ -> multicast t group payload
   | None ->
       let entry = { Wire.uid = fresh_uid t group; orig = t.me; payload } in

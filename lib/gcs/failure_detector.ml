@@ -1,4 +1,4 @@
-module Det_tbl = Haf_sim.Det_tbl
+module Imap = Map.Make (Int)
 
 type proc = int
 
@@ -7,30 +7,30 @@ type peer = { mutable last : float; mutable suspect : bool }
 type t = {
   me : proc;
   timeout : float;
-  peers : (proc, peer) Hashtbl.t;
+  mutable peers : peer Imap.t;
 }
 
-let create ~me ~suspect_timeout = { me; timeout = suspect_timeout; peers = Hashtbl.create 16 }
+let create ~me ~suspect_timeout = { me; timeout = suspect_timeout; peers = Imap.empty }
 
 let monitor t p ~now =
-  if p <> t.me && not (Hashtbl.mem t.peers p) then
-    Hashtbl.replace t.peers p { last = now; suspect = false }
+  if p <> t.me && not (Imap.mem p t.peers) then
+    t.peers <- Imap.add p { last = now; suspect = false } t.peers
 
-let unmonitor t p = Hashtbl.remove t.peers p
+let unmonitor t p = t.peers <- Imap.remove p t.peers
 
-let monitored t = Det_tbl.sorted_keys ~compare:Int.compare t.peers
+let monitored t = List.map fst (Imap.bindings t.peers)
 
-let is_monitored t p = Hashtbl.mem t.peers p
+let is_monitored t p = Imap.mem p t.peers
 
 let heard_from t p ~now =
-  match Hashtbl.find_opt t.peers p with
+  match Imap.find_opt p t.peers with
   | Some peer ->
       peer.last <- now;
       peer.suspect <- false
   | None -> ()
 
 let sweep t ~now =
-  Det_tbl.fold_sorted ~compare:Int.compare
+  Imap.fold
     (fun p peer acc ->
       if (not peer.suspect) && now -. peer.last > t.timeout then begin
         peer.suspect <- true;
@@ -41,18 +41,18 @@ let sweep t ~now =
   |> List.rev
 
 let suspected t p =
-  match Hashtbl.find_opt t.peers p with
+  match Imap.find_opt p t.peers with
   | Some peer -> peer.suspect
   | None -> false
 
 let suspects t =
-  Det_tbl.fold_sorted ~compare:Int.compare
+  Imap.fold
     (fun p peer acc -> if peer.suspect then p :: acc else acc)
     t.peers []
   |> List.rev
 
 let reachable t p =
-  match Hashtbl.find_opt t.peers p with
+  match Imap.find_opt p t.peers with
   | Some peer -> not peer.suspect
   | None -> false
 

@@ -3,6 +3,7 @@ module Trace = Haf_sim.Trace
 module Network = Haf_net.Network
 module Sub = Haf_net.Substrate
 module Transport = Haf_net.Transport
+module Imap = Map.Make (Int)
 
 type proc = int
 
@@ -32,7 +33,7 @@ type t = {
   gcs_config : Config.t;
   trace : Trace.t;
   client_hb : float;
-  slots : (proc, slot) Hashtbl.t;
+  mutable slots : slot Imap.t;
   mutable server_list : proc list;
 }
 
@@ -73,17 +74,19 @@ let add_process t role =
   let proc = t.sub.Sub.add_node () in
   if role = Server then t.server_list <- proc :: t.server_list;
   let daemon = spawn_daemon t proc role in
-  Hashtbl.replace t.slots proc
-    {
-      role;
-      daemon = Some daemon;
-      callbacks = Daemon.no_callbacks;
-      audit_hook = None;
-      retired_audits_failed = 0;
-      retired_resets = 0;
-      retired_view_changes = 0;
-      last_incarnation = None;
-    };
+  t.slots <-
+    Imap.add proc
+      {
+        role;
+        daemon = Some daemon;
+        callbacks = Daemon.no_callbacks;
+        audit_hook = None;
+        retired_audits_failed = 0;
+        retired_resets = 0;
+        retired_view_changes = 0;
+        last_incarnation = None;
+      }
+      t.slots;
   proc
 
 let create ?(net_config = Network.default_config) ?(gcs_config = Config.default)
@@ -107,7 +110,7 @@ let create ?(net_config = Network.default_config) ?(gcs_config = Config.default)
       gcs_config;
       trace;
       client_hb;
-      slots = Hashtbl.create 32;
+      slots = Imap.empty;
       server_list = [];
     }
   in
@@ -135,7 +138,7 @@ let create_on ?(gcs_config = Config.default) ?(trace = Trace.disabled)
       gcs_config;
       trace;
       client_hb;
-      slots = Hashtbl.create 32;
+      slots = Imap.empty;
       server_list = [];
     }
   in
@@ -148,21 +151,23 @@ let create_on ?(gcs_config = Config.default) ?(trace = Trace.disabled)
       if id <> p then
         invalid_arg "Gcs.create_on: servers must be consecutive ids from 0";
       t.server_list <- p :: t.server_list;
-      Hashtbl.replace t.slots p
-        {
-          role = Server;
-          daemon = None;
-          callbacks = Daemon.no_callbacks;
-          audit_hook = None;
-          retired_audits_failed = 0;
-          retired_resets = 0;
-          retired_view_changes = 0;
-          last_incarnation = None;
-        })
+      t.slots <-
+        Imap.add p
+          {
+            role = Server;
+            daemon = None;
+            callbacks = Daemon.no_callbacks;
+            audit_hook = None;
+            retired_audits_failed = 0;
+            retired_resets = 0;
+            retired_view_changes = 0;
+            last_incarnation = None;
+          }
+          t.slots)
     servers;
   List.iter
     (fun p ->
-      match Hashtbl.find_opt t.slots p with
+      match Imap.find_opt p t.slots with
       | Some ({ role = Server; daemon = None; _ } as s) ->
           s.daemon <- Some (spawn_daemon t p Server)
       | Some _ -> invalid_arg "Gcs.create_on: duplicate local server"
@@ -175,7 +180,7 @@ let add_server t = add_process t Server
 let add_client t = add_process t Client
 
 let slot t p =
-  match Hashtbl.find_opt t.slots p with
+  match Imap.find_opt p t.slots with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Gcs: unknown process %d" p)
 
@@ -252,21 +257,21 @@ let heal t = Network.heal_links (sim_net t)
 let set_link t a b up = Network.set_link (sim_net t) a b up
 
 let total_view_changes t =
-  Haf_sim.Det_tbl.fold_sorted ~compare:Int.compare
+  Imap.fold
     (fun _ s acc ->
       acc + s.retired_view_changes
       + (match s.daemon with Some d -> Daemon.stats_view_changes d | None -> 0))
     t.slots 0
 
 let total_audits_failed t =
-  Haf_sim.Det_tbl.fold_sorted ~compare:Int.compare
+  Imap.fold
     (fun _ s acc ->
       acc + s.retired_audits_failed
       + (match s.daemon with Some d -> Daemon.stats_audits_failed d | None -> 0))
     t.slots 0
 
 let total_resets t =
-  Haf_sim.Det_tbl.fold_sorted ~compare:Int.compare
+  Imap.fold
     (fun _ s acc ->
       acc + s.retired_resets
       + (match s.daemon with Some d -> Daemon.stats_resets d | None -> 0))

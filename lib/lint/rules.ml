@@ -77,7 +77,8 @@ let bans =
         (fun id ->
           Printf.sprintf
             "%s visits protocol state in hash-bucket order, which is not \
-             stable across runs; use Sim.Det_tbl sorted-key iteration"
+             stable across runs; keep an iterated table in an ordered map \
+             (Map.Make over its key) and iterate that"
             id);
     };
     {

@@ -11,7 +11,9 @@
       protocol layers ([lib/gcs], [lib/core]).
     - R3: no [Hashtbl.iter]/[Hashtbl.fold]/[Hashtbl.to_seq*] over
       protocol state in [lib/gcs]/[lib/core] — bucket order is not part
-      of program semantics; use [Sim.Det_tbl].
+      of program semantics.  A table that is iterated is an ordered map
+      ([Map.Make] over its key), whose traversals run in key order; a
+      [Hashtbl] serves lookups only.
     - R4: no direct console output in [lib/] — output flows through
       [Sim.Trace] or is returned as data and printed at the [bin/] edge.
     - R5: every [lib/**/*.ml] has a matching [.mli] (exempt:

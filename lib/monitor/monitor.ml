@@ -1,8 +1,9 @@
 module Events = Haf_core.Events
 module Metrics = Haf_stats.Metrics
-module Det_tbl = Haf_sim.Det_tbl
 module Heap = Haf_sim.Heap
 module Network = Haf_net.Network
+module Imap = Map.Make (Int)
+module Smap = Map.Make (String)
 
 type config = {
   dual_primary_grace : float;
@@ -33,7 +34,7 @@ type session_state = {
   mutable ss_unit : string option;
   mutable ss_granted : float option;
   mutable ss_ended : bool;
-  ss_primaries : (int, float) Hashtbl.t;  (* server -> believed-since *)
+  mutable ss_primaries : float Imap.t;  (* server -> believed-since *)
   mutable ss_dual_since : float option;
   mutable ss_dual_flagged : bool;
   mutable ss_acked : (float * Haf_sim.Seqset.t) option;
@@ -71,16 +72,16 @@ type t = {
   net : Network.t;
   servers : int list;
   cfg : config;
-  sessions : (string, session_state) Hashtbl.t;
+  mutable sessions : session_state Smap.t;
   views : (string, int list) Hashtbl.t;
       (* "<server>/<group>" -> members, per the server's latest view *)
-  by_primary : (int, (string, session_state) Hashtbl.t) Hashtbl.t;
+  by_primary : (int, session_state Smap.t) Hashtbl.t;
       (* server -> sessions that currently believe it primary.  Lets a
          [Server_crashed] event touch exactly the crashed server's
          sessions instead of scanning the whole population. *)
-  by_unit : (string, (string, session_state) Hashtbl.t) Hashtbl.t;
+  by_unit : (string, session_state Smap.t) Hashtbl.t;
       (* content unit -> its sessions, for [View_noted] fan-out. *)
-  dual_watch : (string, session_state) Hashtbl.t;
+  mutable dual_watch : session_state Smap.t;
       (* Sessions invariant (a) must re-examine every pump: >= 2
          believed primaries now, or a dual episode still open.  Dual
          primaries are anomalies, so this stays near-empty at scale. *)
@@ -107,7 +108,7 @@ let violation_count t = List.length t.violations
 let events_seen t = t.events_seen
 
 let session t sid =
-  match Hashtbl.find_opt t.sessions sid with
+  match Smap.find_opt sid t.sessions with
   | Some ss -> ss
   | None ->
       let ss =
@@ -116,7 +117,7 @@ let session t sid =
           ss_unit = None;
           ss_granted = None;
           ss_ended = false;
-          ss_primaries = Hashtbl.create 4;
+          ss_primaries = Imap.empty;
           ss_dual_since = None;
           ss_dual_flagged = false;
           ss_acked = None;
@@ -127,18 +128,15 @@ let session t sid =
           ss_stale_armed = false;
         }
       in
-      Hashtbl.replace t.sessions sid ss;
+      t.sessions <- Smap.add sid ss t.sessions;
       ss
 
 let view_key server group = string_of_int server ^ "/" ^ group
 
-let sub_table tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some sub -> sub
-  | None ->
-      let sub = Hashtbl.create 16 in
-      Hashtbl.replace tbl key sub;
-      sub
+(* Add a session to one entry of an index ([by_primary], [by_unit]). *)
+let index_add tbl key ss =
+  let sub = Option.value (Hashtbl.find_opt tbl key) ~default:Smap.empty in
+  Hashtbl.replace tbl key (Smap.add ss.ss_id ss sub)
 
 let[@hot] arm_staleness t ss =
   if not ss.ss_stale_armed then begin
@@ -163,7 +161,7 @@ let crashed_within t server ~since ~until =
   List.exists (fun (at, s) -> s = server && at >= since && at <= until) t.crash_log
 
 let live_primaries t ss =
-  Det_tbl.fold_sorted ~compare:Int.compare
+  Imap.fold
     (fun server since acc -> if Network.alive t.net server then (server, since) :: acc else acc)
     ss.ss_primaries []
   |> List.rev
@@ -247,7 +245,7 @@ let on_event t ~now (ev : Events.t) =
       let ss = session t session_id in
       if ss.ss_unit = None then begin
         ss.ss_unit <- Some unit_id;
-        Hashtbl.replace (sub_table t.by_unit unit_id) session_id ss
+        index_add t.by_unit unit_id ss
       end
   | Session_granted { session_id; _ } ->
       let ss = session t session_id in
@@ -264,23 +262,23 @@ let on_event t ~now (ev : Events.t) =
       ss.ss_candidates <- []
   | Role_assumed { server; session_id; role = Primary } ->
       let ss = session t session_id in
-      if not (Hashtbl.mem ss.ss_primaries server) then begin
-        Hashtbl.replace ss.ss_primaries server now;
-        Hashtbl.replace (sub_table t.by_primary server) session_id ss
+      if not (Imap.mem server ss.ss_primaries) then begin
+        ss.ss_primaries <- Imap.add server now ss.ss_primaries;
+        index_add t.by_primary server ss
       end;
-      if Hashtbl.length ss.ss_primaries >= 2 then begin
+      if Imap.cardinal ss.ss_primaries >= 2 then begin
         ss.ss_acked <- None;
         ss.ss_candidates <- [];
         (* invariant (a) must now track this session every pump until
            the dual episode resolves *)
-        Hashtbl.replace t.dual_watch session_id ss
+        t.dual_watch <- Smap.add session_id ss t.dual_watch
       end;
       activity t ss now
   | Role_dropped { server; session_id; role = Primary } ->
       let ss = session t session_id in
-      Hashtbl.remove ss.ss_primaries server;
+      ss.ss_primaries <- Imap.remove server ss.ss_primaries;
       (match Hashtbl.find_opt t.by_primary server with
-      | Some sub -> Hashtbl.remove sub session_id
+      | Some sub -> Hashtbl.replace t.by_primary server (Smap.remove session_id sub)
       | None -> ());
       activity t ss now
   | Server_crashed { server } ->
@@ -290,10 +288,10 @@ let on_event t ~now (ev : Events.t) =
          scan this handler used to do. *)
       (match Hashtbl.find_opt t.by_primary server with
       | Some sub ->
-          Det_tbl.iter_sorted ~compare:String.compare
+          Smap.iter
             (fun _ ss ->
-              if Hashtbl.mem ss.ss_primaries server then begin
-                Hashtbl.remove ss.ss_primaries server;
+              if Imap.mem server ss.ss_primaries then begin
+                ss.ss_primaries <- Imap.remove server ss.ss_primaries;
                 activity t ss now
               end)
             sub;
@@ -311,7 +309,7 @@ let on_event t ~now (ev : Events.t) =
       | Some u -> (
           match Hashtbl.find_opt t.by_unit u with
           | Some sub ->
-              Det_tbl.iter_sorted ~compare:String.compare
+              Smap.iter
                 (fun _ ss ->
                   activity t ss now;
                   ss.ss_candidates <- [])
@@ -334,11 +332,11 @@ let create ?config ~network ~servers ~policy ~gcs ~events () =
       net = network;
       servers = List.sort_uniq Int.compare servers;
       cfg;
-      sessions = Hashtbl.create 32;
+      sessions = Smap.empty;
       views = Hashtbl.create 64;
       by_primary = Hashtbl.create 16;
       by_unit = Hashtbl.create 8;
-      dual_watch = Hashtbl.create 8;
+      dual_watch = Smap.empty;
       stale_q =
         Heap.create ~leq:(fun a b -> a.sd_deadline <= b.sd_deadline);
       crash_log = [];
@@ -431,10 +429,7 @@ let check_session t ~now ss =
         end
   end
 
-let reference_scan t ~now =
-  Det_tbl.iter_sorted ~compare:String.compare
-    (fun _ ss -> check_session t ~now ss)
-    t.sessions
+let reference_scan t ~now = Smap.iter (fun _ ss -> check_session t ~now ss) t.sessions
 
 (* Incremental pump.  Equivalence with [reference_scan] rests on two
    facts:
@@ -499,25 +494,17 @@ let pump_incremental t ~now =
     | Some _ | None -> continue := false
   done;
   (* Candidates = dual watch ∪ due staleness, in ascending session id. *)
-  let cands = Hashtbl.create 16 in
-  Det_tbl.iter_sorted ~compare:String.compare
-    (fun sid ss -> Hashtbl.replace cands sid ss)
-    t.dual_watch;
-  List.iter (fun ss -> Hashtbl.replace cands ss.ss_id ss) !due;
-  Det_tbl.iter_sorted ~compare:String.compare
-    (fun _ ss -> check_session t ~now ss)
-    cands;
+  let cands = List.fold_left (fun m ss -> Smap.add ss.ss_id ss m) t.dual_watch !due in
+  Smap.iter (fun _ ss -> check_session t ~now ss) cands;
   (* Retire dual watches whose episode fully reset (the same state the
      reference scan leaves untouched sessions in). *)
-  let retire =
-    Det_tbl.fold_sorted ~compare:String.compare
-      (fun sid ss acc ->
+  t.dual_watch <-
+    Smap.filter
+      (fun _ ss ->
         match ss.ss_dual_since with
-        | None when Hashtbl.length ss.ss_primaries < 2 -> sid :: acc
-        | _ -> acc)
-      t.dual_watch []
-  in
-  List.iter (Hashtbl.remove t.dual_watch) retire;
+        | None -> Imap.cardinal ss.ss_primaries >= 2
+        | Some _ -> true)
+      t.dual_watch;
   (* Re-arm consumed entries still worth watching: a session that kept
      its primary re-enters the queue after [check_session] above (no
      activity happened, so the deadline advances only if the clock

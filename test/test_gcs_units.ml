@@ -335,6 +335,139 @@ let test_trace_disabled_skips_formatting () =
   check Alcotest.int "disabled: nothing recorded" 1 (List.length (Trace.lines tr))
 
 (* ------------------------------------------------------------------ *)
+(* Adverts: each peer's adverts indexed by group                       *)
+
+module Adverts = Haf_gcs.Adverts
+
+(* Against what the index replaced: per peer, the last advert list
+   heard, searched with [List.find_opt] (the first advert for a group
+   wins) and [List.exists].  Up to six adverts over four groups, so most
+   lists name some group twice, with a different view id or clock. *)
+let prop_adverts_oracle =
+  let groups = [| "a"; "b"; "c"; "d" |] in
+  let advert =
+    QCheck.Gen.(
+      map3
+        (fun g epoch d ->
+          { Wire.adv_group = groups.(g); adv_vid = { View.Id.epoch; coord = 0 };
+            adv_delivered = d })
+        (int_bound 3) (int_bound 5) (int_bound 9))
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun p advs -> `Record (p, advs)) (int_bound 3) (list_size (int_bound 6) advert));
+          (1, map2 (fun p g -> `Forget (p, groups.(g))) (int_bound 3) (int_bound 3));
+        ])
+  in
+  QCheck.Test.make ~name:"adverts: lookups match a per-peer list oracle" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 30) op))
+    (fun ops ->
+      let oracle = Array.make 4 None in
+      let names g (a : Wire.advert) = String.equal a.adv_group g in
+      let agrees t =
+        Array.for_all
+          (fun g ->
+            Adverts.advertisers g t
+            = List.filter
+                (fun p ->
+                  match oracle.(p) with
+                  | Some advs -> List.exists (names g) advs
+                  | None -> false)
+                [ 0; 1; 2; 3 ]
+            && List.for_all
+                 (fun p ->
+                   Adverts.find p g t
+                   = Option.bind oracle.(p) (List.find_opt (names g)))
+                 [ 0; 1; 2; 3 ])
+          groups
+      in
+      let step (t, ok) op =
+        let t =
+          match op with
+          | `Record (p, advs) ->
+              oracle.(p) <- Some advs;
+              Adverts.record p advs t
+          | `Forget (p, g) ->
+              oracle.(p) <-
+                Option.map (List.filter (fun a -> not (names g a))) oracle.(p);
+              Adverts.forget p g t
+        in
+        (t, ok && agrees t)
+      in
+      snd (List.fold_left step (Adverts.empty, true) ops))
+
+(* A daemon whose [on_view] callback leaves one group and joins another
+   during a heartbeat sweep.  Daemons 0 and 1 share groups a..d; 1
+   crashes, and the tick at which 0 suspects it installs a singleton
+   view in each group, in group order.  At b's install the callback
+   leaves c and joins bb.  The sweep walks the groups as they were when
+   it began: c, left but not yet swept, is still swept once (its stale
+   state installs a singleton no table holds any more), and bb is not
+   swept by it.  [join] runs a heartbeat of its own, whose sweep
+   installs d; the outer sweep then finds d settled.  So a, b, c and d
+   each install exactly once.  A listener node records every Ping 0
+   sends: each lists 0's groups in descending order. *)
+let test_on_view_changes_groups_mid_sweep () =
+  let engine = Engine.create ~seed:7 () in
+  let gcs = Gcs.create ~num_servers:2 engine in
+  let groups = [ "a"; "b"; "c"; "d" ] in
+  List.iter (fun p -> List.iter (Gcs.join gcs p) groups) [ 0; 1 ];
+  let tr = Gcs.transport gcs in
+  let listener = (Gcs.substrate gcs).Haf_net.Substrate.add_node () in
+  let pings = ref [] in
+  Haf_net.Transport.attach tr listener
+    ~on_raw:(fun ~src payload ->
+      match Wire.decode payload with
+      | Wire.Ping { adverts } when src = 0 ->
+          pings := List.map (fun (a : Wire.advert) -> a.adv_group) adverts :: !pings
+      | _ -> ())
+    (fun ~src:_ _ -> ());
+  (* One ping from the listener makes 0 monitor it, and so ping it. *)
+  Haf_net.Transport.send_unreliable tr ~src:listener ~dst:0
+    (Wire.encode (Wire.Ping { adverts = [] }));
+  Engine.run ~until:2. engine;
+  List.iter
+    (fun g ->
+      check (Alcotest.list Alcotest.int) ("formed " ^ g) [ 0; 1 ]
+        (Option.fold ~none:[] ~some:(fun v -> v.View.members) (Gcs.view_of gcs 0 g)))
+    groups;
+  let installs = ref [] in
+  let switched = ref false in
+  Gcs.set_app gcs 0
+    {
+      Haf_gcs.Daemon.no_callbacks with
+      on_view =
+        (fun v ->
+          installs := (v.View.group, v.View.members) :: !installs;
+          if String.equal v.View.group "b" && not !switched then begin
+            switched := true;
+            Gcs.leave gcs 0 "c";
+            Gcs.join gcs 0 "bb"
+          end);
+    };
+  pings := [];
+  Gcs.crash gcs 1;
+  Engine.run ~until:4. engine;
+  check
+    Alcotest.(list (pair string (list int)))
+    "installs, in order"
+    [ ("a", [ 0 ]); ("b", [ 0 ]); ("bb", [ 0 ]); ("d", [ 0 ]); ("c", [ 0 ]) ]
+    (List.rev !installs);
+  check Alcotest.(list string) "groups after" [ "a"; "b"; "bb"; "d" ]
+    (Haf_gcs.Daemon.groups (Gcs.daemon gcs 0));
+  let sent = List.rev !pings in
+  check Alcotest.bool "pinged before and after the switch" true
+    (List.mem [ "d"; "c"; "b"; "a" ] sent && List.mem [ "d"; "bb"; "b"; "a" ] sent);
+  List.iter
+    (fun advs ->
+      check Alcotest.(list string) "descending group order"
+        (List.sort (fun a b -> String.compare b a) advs)
+        advs)
+    sent
+
+(* ------------------------------------------------------------------ *)
 (* Adversarial protocol scenarios                                      *)
 
 type recorder = {
@@ -981,6 +1114,9 @@ let suite =
           test_trace_disabled_skips_formatting;
         Alcotest.test_case "wire: validate accepts and rejects" `Quick test_wire_validate;
         QCheck_alcotest.to_alcotest prop_uid_set_oracle;
+        QCheck_alcotest.to_alcotest prop_adverts_oracle;
+        Alcotest.test_case "on_view leaves and joins groups mid-sweep" `Quick
+          test_on_view_changes_groups_mid_sweep;
       ] );
     ( "gcs.adversarial",
       [

@@ -106,9 +106,10 @@ let test_r3_violation () =
     (lint "lib/explore/spec.ml" {|let each f t = Hashtbl.iter f t|})
 
 let test_r3_clean () =
-  check_rules "Det_tbl iteration passes" []
+  check_rules "ordered-map iteration passes" []
     (lint "lib/core/foo.ml"
-       {|let keys t = Haf_sim.Det_tbl.sorted_keys ~compare:Int.compare t|});
+       {|module Imap = Map.Make (Int)
+let keys t = Imap.fold (fun k _ a -> k :: a) t []|});
   check_rules "Hashtbl.fold fine outside protocol dirs" []
     (lint "lib/stats/foo.ml" {|let keys t = Hashtbl.fold (fun k _ a -> k :: a) t []|})
 
@@ -143,9 +144,10 @@ let test_audit_modules_clean_idioms () =
        {|let overdue ~now deadline = now -. deadline > 0.|});
   check_rules "explicit comparator in validation passes" []
     (lint "lib/gcs/wire.ml" {|let sorted xs = List.sort String.compare xs|});
-  check_rules "deterministic table iteration passes" []
+  check_rules "ordered-map iteration in the gcs audit passes" []
     (lint "lib/gcs/audit.ml"
-       {|let ids t = Haf_sim.Det_tbl.sorted_keys ~compare:String.compare t|})
+       {|module Smap = Map.Make (String)
+let ids t = List.map fst (Smap.bindings t)|})
 
 (* ------------------------------------------------------------------ *)
 (* R4: direct console output in lib/                                   *)
